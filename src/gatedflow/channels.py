@@ -6,6 +6,9 @@ generation counter: a publish blocks until every observer has consumed the
 current generation, and an observe blocks until a generation newer than the
 observer's last consumed one is available. This rendezvous is what lets
 independent components self-organise into a dataflow graph.
+
+Each event wakes only the threads it unblocks: a subject's one lock carries
+two wait sets, one for its observers and one for its producer (see Subject).
 """
 
 from __future__ import annotations
@@ -117,8 +120,9 @@ class ChannelRegistry:
         """Release every blocked context, now and forever. Idempotent."""
         self.poisoned = True
         for subject in self._subjects.values():
-            with subject._cond:
-                subject._cond.notify_all()
+            with subject._lock:
+                subject._readable.notify_all()
+                subject._writable.notify_all()
 
     def subject(self, namespace: str) -> "Subject":
         return self._subjects[namespace]
@@ -132,7 +136,14 @@ class ChannelRegistry:
 
 
 class Subject:
-    """Producer handle: one per namespace, single slot, generation counter."""
+    """Producer handle: one per namespace, single slot, generation counter.
+
+    ``_unacked`` counts the observers yet to read the current generation. A
+    publish waits on ``_writable`` until it is zero, stores the next
+    generation and wakes the observers waiting on ``_readable``. Only the
+    observe that brings the count to zero wakes the producer; poison wakes
+    both sets. The tap runs under the lock, so it sees generation order.
+    """
 
     def __init__(self, namespace: str, registry: ChannelRegistry, owner=None):
         self.namespace = namespace
@@ -140,7 +151,10 @@ class Subject:
         self.generation = 0
         self.slot = None
         self._registry = registry
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()
+        self._readable = threading.Condition(self._lock)
+        self._writable = threading.Condition(self._lock)
+        self._unacked = 0
         self._tap = None  # optional (namespace, value) callback, set before seal
 
     def _require_sealed(self):
@@ -149,13 +163,14 @@ class Subject:
                 f"channel traffic on {self.namespace!r} before seal"
             )
 
-    def _acked(self) -> bool:
-        gen = self.generation
-        if gen == 0:
-            return True
-        return all(
-            o.last_consumed >= gen for o in self._registry.observers_of(self.namespace)
-        )
+    def _store(self, value):
+        """Hold ``value`` as the next generation and wake the observers."""
+        self.slot = value
+        self.generation += 1
+        self._unacked = len(self._registry.observers_of(self.namespace))
+        if self._tap is not None:
+            self._tap(self.namespace, value)
+        self._readable.notify_all()
 
     def publish(self, value, timeout: float | None = None):
         """Store the next generation, waiting for all consumers to catch up."""
@@ -164,27 +179,23 @@ class Subject:
         if timeout is None:
             timeout = self._registry.default_timeout
         deadline = time.monotonic() + timeout
-        with self._cond:
+        with self._lock:
             while True:
                 if self._registry.poisoned:
                     raise ChannelPoisoned(self.namespace)
-                if self._acked():
+                if not self._unacked:
                     break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise ChannelTimeout(self.namespace, "publish", timeout)
-                self._cond.wait(remaining)
-            self.slot = value
-            self.generation += 1
-            if self._tap is not None:
-                self._tap(self.namespace, value)
-            self._cond.notify_all()
+                self._writable.wait(remaining)
+            self._store(value)
 
     def initialise_state(self, value):
         """Generation-0 publish used to bootstrap a cycle; never blocks."""
         check_value(value)
         self._require_sealed()
-        with self._cond:
+        with self._lock:
             if self.generation >= 1:
                 raise AlreadyInitialised(
                     f"subject {self.namespace!r} already holds generation "
@@ -192,11 +203,7 @@ class Subject:
                 )
             if self._registry.poisoned:
                 raise ChannelPoisoned(self.namespace)
-            self.slot = value
-            self.generation = 1
-            if self._tap is not None:
-                self._tap(self.namespace, value)
-            self._cond.notify_all()
+            self._store(value)
 
 
 class Observer:
@@ -218,7 +225,7 @@ class Observer:
         if timeout is None:
             timeout = self._registry.default_timeout
         deadline = time.monotonic() + timeout
-        with subject._cond:
+        with subject._lock:
             while True:
                 if self._registry.poisoned:
                     raise ChannelPoisoned(self.namespace)
@@ -227,8 +234,9 @@ class Observer:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise ChannelTimeout(self.namespace, "observe", timeout)
-                subject._cond.wait(remaining)
-            value = subject.slot
+                subject._readable.wait(remaining)
             self.last_consumed = subject.generation
-            subject._cond.notify_all()
-            return value
+            subject._unacked -= 1
+            if not subject._unacked:
+                subject._writable.notify()
+            return subject.slot

@@ -155,6 +155,7 @@ class ComponentCollection:
         self.bind_report: BindReport | None = None
         self.trace: dict[str, list] = {}
         self._stop = threading.Event()
+        self._wake = threading.Condition()  # the supervisor's latch
         self._ran = False
 
     # -- graph construction -------------------------------------------------
@@ -183,6 +184,8 @@ class ComponentCollection:
 
     def signal_stop(self):
         self._stop.set()
+        with self._wake:
+            self._wake.notify()
 
     def run(self, max_steps=None, step_timeout=None) -> RunReport:
         if self.registry is None:
@@ -194,26 +197,26 @@ class ComponentCollection:
         self.registry.default_timeout = timeout
 
         steps = {c.name: 0 for c in self.components}
-        pending: dict[str, tuple[str, str]] = {}
-        pending_lock = threading.Lock()
+        # name -> (namespace, op) while blocked in a channel op, else None.
+        # Each entry is written only by its component's own thread.
+        pending: dict[str, tuple[str, str] | None] = dict.fromkeys(steps)
         fail = SimpleNamespace(timeout=False, error=None, blocked=[])
         fail_lock = threading.Lock()
+        live = len(self.components)  # workers not yet exited, under _wake
 
         def set_pending(comp, namespace, op):
-            with pending_lock:
-                pending[comp.name] = (namespace, op)
+            pending[comp.name] = (namespace, op)
 
         def clear_pending(comp):
-            with pending_lock:
-                pending.pop(comp.name, None)
+            pending[comp.name] = None
 
         def snapshot_blocked():
-            with pending_lock:
-                return sorted(
-                    (name, ns, op) for name, (ns, op) in pending.items()
-                )
+            return sorted(
+                (name, *entry) for name, entry in list(pending.items()) if entry
+            )
 
         def worker(comp: Component):
+            nonlocal live
             try:
                 self._run_init(comp, set_pending, clear_pending)
                 limit = comp.max_steps if comp.max_steps is not None else max_steps
@@ -243,6 +246,9 @@ class ComponentCollection:
                 self.registry.poison()
             finally:
                 clear_pending(comp)
+                with self._wake:
+                    live -= 1
+                    self._wake.notify()
 
         threads = [
             threading.Thread(target=worker, args=(c,), name=f"component-{c.name}",
@@ -252,17 +258,20 @@ class ComponentCollection:
         for t in threads:
             t.start()
 
-        # Supervisor: wait for workers; after a stop request, poison once every
-        # surviving worker is parked in a blocking channel op.
-        while any(t.is_alive() for t in threads):
-            if self._stop.is_set():
-                alive = [t for t in threads if t.is_alive()]
-                with pending_lock:
-                    parked = len(pending)
-                if alive and parked >= len(alive):
+        # Supervisor: a completion latch. It sleeps on _wake, which each
+        # worker notifies as it exits, and so does signal_stop(). Only after a
+        # stop request does it poll: workers whose partners stopped stay
+        # parked in channel ops, so once every live worker is parked it
+        # poisons the registry to release them.
+        with self._wake:
+            while live:
+                if not self._stop.is_set():
+                    self._wake.wait()
+                elif len(snapshot_blocked()) >= live:
                     self.registry.poison()
                     break
-            time.sleep(0.005)
+                else:
+                    self._wake.wait(0.005)
         deadline = time.monotonic() + timeout + 5.0
         for t in threads:
             t.join(max(0.0, deadline - time.monotonic()))

@@ -237,7 +237,8 @@ def merge_spool(primary: DirectoryStore, spool: DirectoryStore) -> MergeReport:
 
 class ProxyLogger:
     """Per-component handle; record() stamps and enqueues, never waits for
-    durability (it only blocks on queue-full backpressure)."""
+    durability (it only blocks on queue-full backpressure). Once the writer
+    thread has died, record() raises the writer's error."""
 
     def __init__(self, run_logger: "RunLogger", component: str):
         self._run = run_logger
@@ -262,6 +263,7 @@ class RunLogger:
         self.failed_flushes = 0
         self.spooled_records = 0
         self._writer_error = None
+        self._sentinel_taken = False
         self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
         self._steps: dict[tuple[str, str], int] = {}
         self._steps_lock = threading.Lock()
@@ -278,6 +280,8 @@ class RunLogger:
     def _enqueue(self, component: str, tag: str, value):
         if self._closed:
             raise RunClosed(f"run {self.run_id} is finalised")
+        if self._writer_error is not None:
+            raise self._writer_error
         with self._steps_lock:
             step = self._steps.get((component, tag), 0)
             self._steps[(component, tag)] = step + 1
@@ -304,8 +308,12 @@ class RunLogger:
     def _writer_loop(self):
         try:
             self._writer_body()
-        except Exception as exc:  # surfaced again by close()
+        except Exception as exc:  # surfaced again by record() and close()
             self._writer_error = exc
+            # until close()'s sentinel, keep emptying the queue so that no
+            # record() stays blocked on a queue the dead writer left full
+            while not self._sentinel_taken and self._queue.get() is not _SENTINEL:
+                pass
 
     def _writer_body(self):
         pending = []
@@ -317,6 +325,7 @@ class RunLogger:
             except queue.Empty:
                 item = None
             if item is _SENTINEL:
+                self._sentinel_taken = True
                 self._flush(pending)
                 return
             if item is not None:
@@ -336,19 +345,25 @@ class RunLogger:
         self._closed = True
         self._queue.put(_SENTINEL)
         self._writer.join()
-        if self._writer_error is not None:
-            raise self._writer_error
+        error = self._writer_error
         self.meta.setdefault("run_id", self.run_id)
         self.meta["outcome"] = outcome
         if self.failed_flushes:
             self.meta["failed_flushes"] = self.failed_flushes
             self.meta["spooled_records"] = self.spooled_records
+        if error is not None:
+            self.meta["writer_error"] = f"{type(error).__name__}: {error}"
         try:
             self.store.write_meta(self.run_id, self.meta)
         except OSError:
             if self.spool is None:
                 raise
             self.spool.write_meta(self.run_id, self.meta)
+        finally:
+            # the metadata goes first, so a run whose writer died still
+            # shows up in queries; then the writer's error is surfaced
+            if error is not None:
+                raise error
 
 
 def open_run(store: DirectoryStore, experiment: str, seed=None, args=None,

@@ -155,7 +155,7 @@ class TestGating:
 class TestSequenceTotality:
     """Every observer sees exactly the published sequence: no skips, no dups."""
 
-    @pytest.mark.parametrize("n_observers", [1, 2, 4])
+    @pytest.mark.parametrize("n_observers", [1, 2, 4, 16])
     def test_total_order_over_thousand_publishes(self, n_observers):
         count = 1000
         reg = ChannelRegistry(default_timeout=10.0)
@@ -168,14 +168,17 @@ class TestSequenceTotality:
             for _ in range(count):
                 seen[idx].append(observers[idx].observe())
 
-        threads = [threading.Thread(target=consume, args=(i,))
+        threads = [threading.Thread(target=consume, args=(i,), daemon=True)
                    for i in range(n_observers)]
         for t in threads:
             t.start()
         published = []
         min_gens = []
         for value in range(count):
+            started = time.monotonic()
             subject.publish(value)
+            # only a lost wake-up leaves a publish asleep until its deadline
+            assert time.monotonic() - started < reg.default_timeout / 2
             published.append(value)
             # rendezvous safety: generation never runs ahead of the slowest
             # observer by more than one
@@ -183,7 +186,8 @@ class TestSequenceTotality:
                 subject.generation - min(o.last_consumed for o in observers)
             )
         for t in threads:
-            t.join()
+            t.join(timeout=10.0)
+            assert not t.is_alive()
         for idx in range(n_observers):
             assert seen[idx] == published
         assert max(min_gens) <= 1
@@ -217,6 +221,55 @@ class TestPoison:
         t.join(timeout=5.0)
         assert "released" in result
         assert result["released"] - poisoned_at < 1.0
+
+    def test_poison_releases_wide_fanout(self):
+        reg = ChannelRegistry(default_timeout=30.0)
+        wide = reg.create_subject("wide", owner="P")
+        stuck = reg.create_subject("stuck", owner="P")
+        observers = [reg.acquire_observer("wide", f"O{i:02d}") for i in range(16)]
+        reg.acquire_observer("stuck", "idle")  # never reads
+        reg.seal_and_bind()
+        released = {}
+
+        def until_poisoned(name, body):
+            try:
+                body()
+            except ChannelPoisoned:
+                released[name] = time.monotonic()
+
+        def produce():
+            wide.publish(1)
+            wide.publish(2)  # needs all 16 observers to read generation 1
+            stuck.publish(1)
+            stuck.publish(2)  # blocks: "idle" never reads generation 1
+
+        def consume(observer):
+            while True:
+                observer.observe()
+
+        threads = [threading.Thread(target=until_poisoned, args=("P", produce),
+                                    daemon=True)]
+        threads += [
+            threading.Thread(target=until_poisoned,
+                             args=(o.owner, lambda o=o: consume(o)), daemon=True)
+            for o in observers
+        ]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 5.0
+        while not (stuck.generation == 1
+                   and all(o.last_consumed == 2 for o in observers)):
+            assert time.monotonic() < deadline, "threads never reached their blocks"
+            time.sleep(0.01)
+        time.sleep(0.1)  # let every thread park in its wait
+        assert not released
+        poisoned_at = time.monotonic()
+        reg.poison()
+        for t in threads:
+            t.join(timeout=5.0)
+            assert not t.is_alive()
+        assert sorted(released) == sorted(["P"] + [o.owner for o in observers])
+        assert all(at - poisoned_at < 1.0 for at in released.values())
 
     def test_poison_is_idempotent(self):
         reg, _, _ = sealed_pair()

@@ -1,5 +1,6 @@
 """Component construction, binding, and the concurrent gated run loop."""
 
+import sys
 import threading
 import time
 
@@ -24,6 +25,33 @@ from graphgen import build_twin
 C_IO = {"x": "x", "y": "y", "alpha": "alpha"}
 C_INIT = "x = 1\ny = 1\n"
 C_STEP = "temp = alpha * 2\nx = temp\ntemp = alpha / 2\ny = temp\n"
+
+
+def run_before_deadline(collection, max_steps=None):
+    """Run, asking the collection to stop once a whole step_timeout passes.
+
+    A healthy run never waits out a deadline: only a lost wake-up leaves a
+    thread asleep until its timeout. Such a run ends "stopped", not
+    "completed", instead of crawling one deadline per step.
+    """
+    timer = threading.Timer(collection.step_timeout, collection.signal_stop)
+    timer.start()
+    try:
+        return collection.run(max_steps=max_steps)
+    finally:
+        timer.cancel()
+
+
+def dsl_star(n_consumers):
+    """One DSL producer read by every DSL consumer; consumer 0 feeds it back."""
+    producer = make_component("P", {"p": "p", "c": "c0"},
+                              init_body="p = 1", step_body="p = c + 1")
+    consumers = [
+        make_component(f"C{i:02d}", {"p": "p", "c": f"c{i}"},
+                       step_body=f"c = p * {i + 1} + {i}")
+        for i in range(n_consumers)
+    ]
+    return [producer] + consumers
 
 
 def toy_abc(step_timeout=5.0, with_init=True, a_body=None):
@@ -181,6 +209,63 @@ class TestOracleEquivalence:
         report = collection.run(max_steps=50)
         assert report.outcome == "completed"
         assert collection.trace == oracle.sequences
+
+
+class TestWideAndLong:
+    """Wide fan-out and long runs: every handoff is woken, none times out."""
+
+    def test_dsl_star_matches_oracle(self):
+        collection = ComponentCollection(dsl_star(12), step_timeout=10.0)
+        collection.bind()
+        assert len(collection.bind_report.entry("p").consumers) == 12
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often to expose races
+        try:
+            report = run_before_deadline(collection, max_steps=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.outcome == "completed"
+        assert collection.trace == oracle_run(dsl_star(12), 300).sequences
+
+    def test_two_thousand_step_random_graph_matches_oracle(self):
+        collection, oracle_components = build_twin(31500, n_components=5)
+        report = run_before_deadline(collection, max_steps=2000)
+        assert report.outcome == "completed"
+        assert collection.trace == oracle_run(oracle_components, 2000).sequences
+
+    def test_fanout_sixteen_deadlock_names_every_blocked_component(self):
+        rounds = []
+
+        def produce(inputs, ctx):
+            rounds.append(None)
+            # after 20 rounds the gate stays shut: the consumers, which fetch
+            # gate before s (native reads go in sorted order), wait on it
+            # while the producer waits for them to read the 21st value of s
+            if len(rounds) <= 20:
+                return {"s": len(rounds), "gate": len(rounds)}
+            return {"s": len(rounds)}
+
+        io = {"s": "s", "gate": "gate"}
+        components = [make_component(
+            "P", io, step_body=NativeBody(produce, writes={"s", "gate"}))]
+        components += [
+            make_component(f"C{i:02d}", io, step_body=NativeBody(
+                lambda inputs, ctx: None, reads={"gate", "s"}))
+            for i in range(16)
+        ]
+        collection = ComponentCollection(components, step_timeout=0.5)
+        collection.bind()
+        start = time.monotonic()
+        report = collection.run()
+        elapsed = time.monotonic() - start
+        assert report.outcome == "timeout"
+        assert elapsed < 0.5 + 1.0
+        # the deadlock comes where the gate shuts, not at a missed wake-up
+        assert report.steps == {"P": 21, **{f"C{i:02d}": 20 for i in range(16)}}
+        assert report.blocked_on == sorted(
+            [("P", "s", "publish")]
+            + [(f"C{i:02d}", "gate", "observe") for i in range(16)]
+        )
 
 
 class TestIsolation:

@@ -2,10 +2,13 @@
 
 import json
 import os
+import threading
 import time
 
 import pytest
 
+import gatedflow.store
+from gatedflow import build_experiment
 from gatedflow.errors import PrimaryUnavailable, RunClosed
 from gatedflow.store import (
     DirectoryStore,
@@ -235,6 +238,44 @@ class TestSpoolFailover:
             proxy.record("loss", float(i))
         with pytest.raises(OSError):
             run.close()
+
+
+class TestWriterDeath:
+    def test_dead_writer_fails_the_run_instead_of_hanging(
+            self, registry, tmp_path, monkeypatch):
+        monkeypatch.setattr(gatedflow.store, "QUEUE_CAPACITY", 64)
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")  # the primary cannot create its run directory
+        run = open_run(DirectoryStore(blocker / "store"), "Toy")
+        collection = build_experiment(registry, "ToyExperimentPlain",
+                                      logger=run, step_timeout=0.5)
+        result = {}
+        worker = threading.Thread(
+            target=lambda: result.update(report=collection.run(max_steps=5000)),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=0.5 + 5.0)
+        assert not worker.is_alive(), "run hung on the dead writer's full queue"
+        report = result["report"]
+        assert report.outcome == "error"
+        assert isinstance(report.error, OSError)
+        with pytest.raises(OSError):
+            run.close(outcome=report.outcome)
+
+    def test_close_writes_meta_before_raising_writer_error(self, store,
+                                                          monkeypatch):
+        def broken(self_, run_id, records):
+            raise RuntimeError("encoder fault")
+
+        monkeypatch.setattr(DirectoryStore, "append_records", broken)
+        run = open_run(store, "Toy")
+        run.proxy("A").record("loss", 1.0)
+        with pytest.raises(RuntimeError, match="encoder fault"):
+            run.close()
+        meta = store.read_meta(run.run_id)
+        assert meta["outcome"] == "completed"
+        assert meta["writer_error"] == "RuntimeError: encoder fault"
 
 
 class TestMergeSpool:
