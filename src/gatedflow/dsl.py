@@ -421,13 +421,16 @@ class EvalEnv:
         return self.inputs[name]
 
 
-def _require_number(value, context):
+def _require_number(value, op=None):
+    """``op`` is the binary operator using ``value``, or None for unary
+    minus; the error message is built only when the check fails."""
     if isinstance(value, bool) or not isinstance(value, _NUMERIC):
+        context = "unary minus" if op is None else f"operator {op!r}"
         raise TypeMismatch(f"{context} requires a number, got {value!r}")
     return value
 
 
-def _eval_expr(expr: Expr, env: EvalEnv, io_sets: IOSets, assigned_writes):
+def _eval_expr(expr: Expr, env: EvalEnv, io_sets: IOSets):
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Name):
@@ -438,21 +441,16 @@ def _eval_expr(expr: Expr, env: EvalEnv, io_sets: IOSets, assigned_writes):
             return env.lookup_input(ident)
         raise MissingInput(f"unbound name {ident!r}")
     if isinstance(expr, Neg):
-        return -_require_number(
-            _eval_expr(expr.operand, env, io_sets, assigned_writes), "unary minus"
-        )
+        return -_require_number(_eval_expr(expr.operand, env, io_sets))
     if isinstance(expr, BinOp):
-        left = _require_number(
-            _eval_expr(expr.left, env, io_sets, assigned_writes), f"operator {expr.op!r}"
-        )
-        right = _require_number(
-            _eval_expr(expr.right, env, io_sets, assigned_writes), f"operator {expr.op!r}"
-        )
-        if expr.op == "+":
+        op = expr.op
+        left = _require_number(_eval_expr(expr.left, env, io_sets), op)
+        right = _require_number(_eval_expr(expr.right, env, io_sets), op)
+        if op == "+":
             return left + right
-        if expr.op == "-":
+        if op == "-":
             return left - right
-        if expr.op == "*":
+        if op == "*":
             return left * right
         if right == 0:
             raise DivisionByZero(f"{left} / {right}")
@@ -479,10 +477,10 @@ def evaluate(ast: StepAST, env: EvalEnv, io_sets: IOSets | None = None,
                 raise UnknownCallee(
                     f"no subcomponent bound for callee {stmt.callee!r}"
                 ) from None
-            args = [_eval_expr(a, env, io_sets, None) for a in stmt.args]
+            args = [_eval_expr(a, env, io_sets) for a in stmt.args]
             value = fn(*args)
         else:
-            value = _eval_expr(stmt.expr, env, io_sets, None)
+            value = _eval_expr(stmt.expr, env, io_sets)
         if stmt.target in io_sets.writes:
             env.emitted_writes.append((stmt.target, value))
             if env._on_write is not None:

@@ -3,7 +3,8 @@
 This module deliberately shares no scheduling code with the concurrent
 runtime: it replays the gating semantics sequentially and records every
 published value per namespace. Its traces are the ground truth that the
-concurrent runtime is tested against.
+concurrent runtime is tested against. Bodies run through the runtime's
+``run(fetch, emit, record)`` protocol, bound to the slot values here.
 
 Each component is a two-phase machine, mirroring the fact that a running
 component consumes its inputs before it blocks on publishing: a read
@@ -18,11 +19,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
-from . import dsl
 from .errors import OracleStuck
-from .runtime import Component, NativeBody
+from .runtime import Component, discard
 
 
 @dataclass
@@ -67,22 +66,11 @@ class _State:
 def _evaluate_body(comp: Component, body, state: _State):
     """Run a body against the current slot values; returns queued writes
     as (namespace, value) pairs in program order."""
+    io_map = comp.io_map
     pending = deque()
-    if isinstance(body, NativeBody):
-        inputs = {
-            name: state.value[comp.io_map[name]] for name in sorted(body.reads)
-        }
-        ctx = SimpleNamespace(record=lambda tag, value: None)
-        outputs = body.fn(inputs, ctx) or {}
-        for name, value in outputs.items():
-            pending.append((comp.io_map[name], value))
-        return pending
-    env = dsl.EvalEnv(
-        inputs={name: state.value[comp.io_map[name]] for name in body.reads},
-        subcomponents=comp.subcomponents,
-        on_write=lambda name, value: pending.append((comp.io_map[name], value)),
-    )
-    dsl.evaluate(body.ast, env, io_sets=body.io_sets)
+    body.run(lambda name: state.value[io_map[name]],
+             lambda name, value: pending.append((io_map[name], value)),
+             discard)
     return pending
 
 

@@ -147,10 +147,6 @@ class TypeRegistry:
             raise UnknownType(f"subcomponent {name!r}") from None
 
 
-def register(registry: TypeRegistry, tier: str, spec):
-    registry.register(tier, spec)
-
-
 def _bare_name_owners(registry: TypeRegistry, experiment: ExperimentSpec):
     """Count how many types in this experiment own each bare parameter name."""
     owners: dict[str, int] = {}

@@ -5,6 +5,10 @@ internal names to external channel namespaces, and, after bind, one Subject
 per write name and one Observer per read name. A ComponentCollection wires
 every component into a shared ChannelRegistry, runs one thread per
 component, and supervises the whole graph for deadlock timeouts.
+
+Script and native bodies share one protocol, ``reads``/``writes`` sets and
+``run(fetch, emit, record)``; the worker threads bind it to channel
+operations, and the oracle to its sequential slot state.
 """
 
 from __future__ import annotations
@@ -21,34 +25,47 @@ from .errors import BadOverride, ChannelPoisoned, ChannelTimeout
 DEFAULT_STEP_TIMEOUT = 5.0
 
 
+def discard(tag, value):
+    """The ``record`` of a body run that logs nothing."""
+
+
 @dataclass
 class NativeBody:
     """Host-language body with explicitly declared read/write sets.
 
     ``fn(inputs, ctx)`` receives the observed values and a context exposing
     ``record(tag, value)``; it returns a mapping of write name to value.
+    ``run`` fetches the reads in sorted order, calls ``fn`` once, and emits
+    the returned writes in the mapping's order.
     """
 
     fn: object
     reads: set[str] = field(default_factory=set)
     writes: set[str] = field(default_factory=set)
 
+    def run(self, fetch, emit, record):
+        inputs = {name: fetch(name) for name in sorted(self.reads)}
+        outputs = self.fn(inputs, SimpleNamespace(record=record)) or {}
+        for name, value in outputs.items():
+            emit(name, value)
+
 
 class ScriptBody:
-    """Parsed step script plus its inferred IO sets."""
+    """Parsed step script, its inferred IO sets and its subcomponents.
+    ``run`` evaluates the script once through ``dsl.evaluate``."""
 
-    def __init__(self, source: str, io_map, subcomponents=()):
+    def __init__(self, source: str, io_map, subcomponents=None):
         self.source = source
         self.ast = dsl.parse(source)
-        self.io_sets = dsl.validate(self.ast, io_map, subcomponents)
+        self.subcomponents = subcomponents or {}
+        self.io_sets = dsl.validate(self.ast, io_map, self.subcomponents)
+        self.reads = self.io_sets.reads
+        self.writes = self.io_sets.writes
 
-    @property
-    def reads(self):
-        return self.io_sets.reads
-
-    @property
-    def writes(self):
-        return self.io_sets.writes
+    def run(self, fetch, emit, record):
+        env = dsl.EvalEnv(subcomponents=self.subcomponents, fetch=fetch,
+                          on_write=emit)
+        dsl.evaluate(self.ast, env, io_sets=self.io_sets)
 
 
 def _check_native(body: NativeBody, io_map):
@@ -61,33 +78,21 @@ def _check_native(body: NativeBody, io_map):
 
 
 class Component:
-    def __init__(self, name, io_map, init_body, step_body, subcomponents,
-                 max_steps=None):
+    def __init__(self, name, io_map, init_body, step_body, max_steps=None):
         self.name = name
         self.io_map = dict(io_map)
         self.init_body = init_body
         self.step_body = step_body
-        self.subcomponents = dict(subcomponents or {})
         self.max_steps = max_steps
+        self.reads = set()   # internal names read by either body
+        self.writes = set()  # internal names written by either body
+        for body in (init_body, step_body):
+            if body is not None:
+                self.reads.update(body.reads)
+                self.writes.update(body.writes)
         self.observers = {}  # internal read name -> Observer
         self.subjects = {}   # internal write name -> Subject
         self.logger = None   # ProxyLogger, attached by the collection
-
-    @property
-    def reads(self):
-        names = set()
-        for body in (self.init_body, self.step_body):
-            if body is not None:
-                names |= set(body.reads)
-        return names
-
-    @property
-    def writes(self):
-        names = set()
-        for body in (self.init_body, self.step_body):
-            if body is not None:
-                names |= set(body.writes)
-        return names
 
     @property
     def step_source(self):
@@ -128,8 +133,7 @@ def make_component(name, io_map, init_body=None, step_body=None,
             return body
         raise TypeError(f"body must be source text or NativeBody, got {body!r}")
 
-    return Component(name, effective, prep(init_body), prep(step_body),
-                     subcomponents, max_steps)
+    return Component(name, effective, prep(init_body), prep(step_body), max_steps)
 
 
 @dataclass
@@ -204,12 +208,6 @@ class ComponentCollection:
         fail_lock = threading.Lock()
         live = len(self.components)  # workers not yet exited, under _wake
 
-        def set_pending(comp, namespace, op):
-            pending[comp.name] = (namespace, op)
-
-        def clear_pending(comp):
-            pending[comp.name] = None
-
         def snapshot_blocked():
             return sorted(
                 (name, *entry) for name, entry in list(pending.items()) if entry
@@ -217,19 +215,45 @@ class ComponentCollection:
 
         def worker(comp: Component):
             nonlocal live
+            name = comp.name
+            record = comp.logger.record if comp.logger is not None else discard
+
+            # a channel op that raises leaves its entry for finally to clear
+            def fetch(internal):
+                observer = comp.observers[internal]
+                pending[name] = (observer.namespace, "observe")
+                value = observer.observe()
+                pending[name] = None
+                return value
+
+            def publish(internal, value):
+                subject = comp.subjects[internal]
+                pending[name] = (subject.namespace, "publish")
+                subject.publish(value)
+                pending[name] = None
+                record(internal, value)
+
+            def initialise(internal, value):
+                comp.subjects[internal].initialise_state(value)
+                record(internal, value)
+
             try:
-                self._run_init(comp, set_pending, clear_pending)
+                if comp.init_body is not None:
+                    comp.init_body.run(fetch, initialise, record)
                 limit = comp.max_steps if comp.max_steps is not None else max_steps
+                body = comp.step_body
                 while not self._stop.is_set():
-                    if limit is not None and steps[comp.name] >= limit:
+                    if limit is not None and steps[name] >= limit:
                         break
-                    self._run_step(comp, set_pending, clear_pending)
-                    steps[comp.name] += 1
+                    if body is not None:
+                        body.run(fetch, publish, record)
+                    steps[name] += 1
             except ChannelPoisoned:
                 pass
             except ChannelTimeout as exc:
-                # our own pending entry was cleared on unwind; re-add it
-                me = (comp.name, exc.namespace, exc.op)
+                # the snapshot holds this component's own entry, unless
+                # another thread took it before this component blocked
+                me = (name, exc.namespace, exc.op)
                 with fail_lock:
                     if fail.error is None:
                         if not fail.timeout:
@@ -245,7 +269,7 @@ class ComponentCollection:
                         fail.error = exc
                 self.registry.poison()
             finally:
-                clear_pending(comp)
+                pending[name] = None
                 with self._wake:
                     live -= 1
                     self._wake.notify()
@@ -288,57 +312,3 @@ class ComponentCollection:
         if self._stop.is_set():
             return RunReport("stopped", steps)
         return RunReport("completed", steps)
-
-    # -- body execution -----------------------------------------------------
-
-    def _publish(self, comp, internal, value, set_pending, clear_pending,
-                 init=False):
-        subject = comp.subjects[internal]
-        if init:
-            subject.initialise_state(value)
-        else:
-            set_pending(comp, subject.namespace, "publish")
-            try:
-                subject.publish(value)
-            finally:
-                clear_pending(comp)
-        if comp.logger is not None:
-            comp.logger.record(internal, value)
-
-    def _fetch(self, comp, internal, set_pending, clear_pending):
-        observer = comp.observers[internal]
-        set_pending(comp, observer.namespace, "observe")
-        try:
-            return observer.observe()
-        finally:
-            clear_pending(comp)
-
-    def _run_body(self, comp, body, set_pending, clear_pending, init):
-        if body is None:
-            return
-        record = comp.logger.record if comp.logger is not None else lambda t, v: None
-        if isinstance(body, NativeBody):
-            inputs = {
-                name: self._fetch(comp, name, set_pending, clear_pending)
-                for name in sorted(body.reads)
-            }
-            ctx = SimpleNamespace(record=record)
-            outputs = body.fn(inputs, ctx) or {}
-            for name, value in outputs.items():
-                self._publish(comp, name, value, set_pending,
-                              clear_pending, init=init)
-            return
-        env = dsl.EvalEnv(
-            subcomponents=comp.subcomponents,
-            fetch=lambda name: self._fetch(comp, name, set_pending, clear_pending),
-            on_write=lambda name, value: self._publish(
-                comp, name, value, set_pending, clear_pending, init=init
-            ),
-        )
-        dsl.evaluate(body.ast, env, io_sets=body.io_sets)
-
-    def _run_init(self, comp, set_pending, clear_pending):
-        self._run_body(comp, comp.init_body, set_pending, clear_pending, init=True)
-
-    def _run_step(self, comp, set_pending, clear_pending):
-        self._run_body(comp, comp.step_body, set_pending, clear_pending, init=False)

@@ -269,6 +269,7 @@ class RunLogger:
         self._steps_lock = threading.Lock()
         self._start = time.monotonic()
         self._closed = False
+        self._meta_written = False
         self._writer = threading.Thread(
             target=self._writer_loop, name=f"store-writer-{self.run_id}", daemon=True
         )
@@ -339,8 +340,14 @@ class RunLogger:
                 last_flush = now
 
     def close(self, outcome: str = "completed"):
-        """Flush residual records and finalise meta.json. Idempotent."""
+        """Flush residual records and finalise meta.json. Idempotent, except
+        after a close that raised the writer's error: a later close then
+        rewrites meta.json with its own outcome, so the caller can mark the
+        run failed."""
         if self._closed:
+            if self._writer_error is not None and self._meta_written:
+                self.meta["outcome"] = outcome
+                self._write_meta()
             return
         self._closed = True
         self._queue.put(_SENTINEL)
@@ -354,16 +361,21 @@ class RunLogger:
         if error is not None:
             self.meta["writer_error"] = f"{type(error).__name__}: {error}"
         try:
-            self.store.write_meta(self.run_id, self.meta)
-        except OSError:
-            if self.spool is None:
-                raise
-            self.spool.write_meta(self.run_id, self.meta)
+            self._write_meta()
         finally:
             # the metadata goes first, so a run whose writer died still
             # shows up in queries; then the writer's error is surfaced
             if error is not None:
                 raise error
+
+    def _write_meta(self):
+        try:
+            self.store.write_meta(self.run_id, self.meta)
+        except OSError:
+            if self.spool is None:
+                raise
+            self.spool.write_meta(self.run_id, self.meta)
+        self._meta_written = True
 
 
 def open_run(store: DirectoryStore, experiment: str, seed=None, args=None,

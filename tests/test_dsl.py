@@ -235,6 +235,17 @@ class TestEvaluate:
                 io_map={"x": "x", "z": "z"},
             )
 
+    def test_type_mismatch_messages(self):
+        io_map = {"x": "x", "z": "z"}
+        with pytest.raises(TypeMismatch) as binary:
+            evaluate(parse("z = 1 + x"), EvalEnv(inputs={"x": "oops"}),
+                     io_map=io_map)
+        assert str(binary.value) == "operator '+' requires a number, got 'oops'"
+        with pytest.raises(TypeMismatch) as unary:
+            evaluate(parse("z = -x"), EvalEnv(inputs={"x": True}),
+                     io_map=io_map)
+        assert str(unary.value) == "unary minus requires a number, got True"
+
     def test_missing_input(self):
         with pytest.raises(MissingInput):
             evaluate(parse("z = x + 1"), EvalEnv(), io_map={"x": "x", "z": "z"})

@@ -19,6 +19,7 @@ from gatedflow.errors import (
     IncompleteGraph,
     UnknownInternalName,
 )
+from gatedflow.store import open_run, query
 
 from graphgen import build_twin
 
@@ -52,6 +53,31 @@ def dsl_star(n_consumers):
         for i in range(n_consumers)
     ]
     return [producer] + consumers
+
+
+def native_feeds_scripts():
+    """A native producer read by script consumers that feed it back. It
+    returns its two writes in non-sorted order and records each input."""
+    def produce(inputs, ctx):
+        ctx.record("seen", inputs["fb"])
+        return {"b": inputs["fb"] * 2, "a": inputs["fb"] + 1}
+
+    io = {"a": "a", "b": "b", "fb": "fb"}
+    return [
+        make_component("P", io, step_body=NativeBody(
+            produce, reads={"fb"}, writes={"b", "a"})),
+        make_component("S", io, init_body="fb = 1", step_body="fb = b - a + 2"),
+        make_component("T", {"a": "a", "out": "out"}, step_body="out = a * 3"),
+    ]
+
+
+def bound_graph(name, registry, logger=None):
+    """A registered experiment, or the native-and-script graph above."""
+    if name != "native_feeds_scripts":
+        return build_experiment(registry, name, logger=logger)
+    collection = ComponentCollection(native_feeds_scripts(), logger=logger)
+    collection.bind()
+    return collection
 
 
 def toy_abc(step_timeout=5.0, with_init=True, a_body=None):
@@ -194,13 +220,25 @@ class TestSignalStop:
 
 
 class TestOracleEquivalence:
-    def test_toy_graph(self, registry):
-        collection = build_experiment(registry, "ToyExperimentPlain")
-        oracle = oracle_run(
-            build_experiment(registry, "ToyExperimentPlain").components, 10
-        )
-        collection.run(max_steps=10)
+    @pytest.mark.parametrize("graph", ["ToyExperimentPlain", "ToyExperimentF",
+                                       "native_feeds_scripts"])
+    def test_named_graph(self, registry, store, graph):
+        run = open_run(store, graph)
+        collection = bound_graph(graph, registry, logger=run)
+        report = run_before_deadline(collection, max_steps=10)
+        run.close()
+        assert report.outcome == "completed"
+        oracle = oracle_run(bound_graph(graph, registry).components, 10)
         assert collection.trace == oracle.sequences
+        logged = query(store, run_ids=[run.run_id])
+        for comp in collection.components:  # every write is logged once
+            for internal in comp.writes:
+                assert [r.value for r in logged
+                        if (r.component, r.tag) == (comp.name, internal)
+                        ] == oracle.sequences[comp.io_map[internal]]
+        if graph == "native_feeds_scripts":  # and so is each ctx.record
+            assert [r.value for r in logged if r.tag == "seen"] == \
+                oracle.sequences["fb"][:10]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_graphs(self, seed):

@@ -38,7 +38,8 @@ class TestDirectoryStore:
     def test_ndjson_layout_on_disk(self, store):
         store.append_records("r1", make_records("r1", 2))
         path = os.path.join(store.root, "runs", "r1", "metrics.ndjson")
-        lines = [json.loads(l) for l in open(path) if l.strip()]
+        with open(path) as fh:
+            lines = [json.loads(l) for l in fh if l.strip()]
         assert lines[0] == {"c": "A", "t": "loss", "s": 0, "w": 0.0, "v": 0.0}
 
     def test_meta_round_trip(self, store):

@@ -222,6 +222,23 @@ class TestRunStudy:
         with pytest.raises(StudyAborted):
             run_study(study, registry, store, n_trials=5)
 
+    def test_writer_death_marks_the_run_failed_too(self, registry, store,
+                                                   monkeypatch):
+        from gatedflow.store import DirectoryStore
+
+        def broken(self_, run_id, records):
+            raise RuntimeError("encoder fault")
+
+        monkeypatch.setattr(DirectoryStore, "append_records", broken)
+        study = self.make_study(registry)
+        with pytest.raises(StudyAborted):
+            run_study(study, registry, store, n_trials=3)
+        assert [t.state for t in study.trials] == ["failed"] * 3
+        for trial in study.trials:
+            meta = store.read_meta(trial.run_id)
+            assert meta["outcome"] == "failed"
+            assert meta["writer_error"] == "RuntimeError: encoder fault"
+
     def test_zero_trials_is_a_no_op(self, registry, store):
         study = self.make_study(registry)
         run_study(study, registry, store, n_trials=0)
