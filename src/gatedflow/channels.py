@@ -130,10 +130,6 @@ class ChannelRegistry:
     def observers_of(self, namespace: str) -> list["Observer"]:
         return self._by_namespace.get(namespace, [])
 
-    @property
-    def subjects(self):
-        return dict(self._subjects)
-
 
 class Subject:
     """Producer handle: one per namespace, single slot, generation counter.

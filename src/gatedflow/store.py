@@ -11,6 +11,11 @@ Components log through a ProxyLogger whose record() call only enqueues; a
 dedicated writer thread commits in bulk chunks. When the primary store
 cannot be written, chunks divert to a local spool with the identical
 layout, to be merged back later with merge_spool().
+
+The .ndjson files are append-only logs with one writer each: chunks are
+appended in place and fsynced, all or nothing. Readers skip a torn last line,
+the next append cuts it off, and a reader during an append sees whole lines
+from a prefix of that chunk. meta.json and study.json are replaced atomically.
 """
 
 from __future__ import annotations
@@ -72,6 +77,35 @@ def _atomic_write(path: str, content: str):
     os.replace(tmp, path)
 
 
+def _append(path: str, text: str):
+    """Append whole lines to an NDJSON file and fsync them, all or nothing."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    # readable for pread; unbuffered, so close() flushes no failed bytes
+    with open(path, "a+b", buffering=0) as fh:
+        end = os.fstat(fh.fileno()).st_size
+        if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+            fh.seek(0)  # a crash tore the last line: cut it before appending
+            end = fh.readall().rfind(b"\n") + 1
+            os.ftruncate(fh.fileno(), end)
+        data = memoryview(text.encode())
+        try:
+            while data:
+                data = data[fh.write(data):]
+            os.fsync(fh.fileno())
+        except BaseException:
+            os.ftruncate(fh.fileno(), end)
+            raise
+
+
+def _read_lines(path: str) -> list[str]:
+    """Whole, non-blank lines; a torn last line (no newline) is skipped."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line for line in fh if line.endswith("\n") and line.strip()]
+    except FileNotFoundError:
+        return []
+
+
 class DirectoryStore:
     """File-tree store; also the class used for the local spool root."""
 
@@ -90,15 +124,10 @@ class DirectoryStore:
     # -- writes -------------------------------------------------------------
 
     def append_records(self, run_id: str, records):
-        """Append a chunk, all-or-nothing via temp file + atomic rename."""
-        path = self._metrics_path(run_id)
-        os.makedirs(self.run_dir(run_id), exist_ok=True)
-        existing = ""
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                existing = fh.read()
-        lines = "".join(r.to_line() + "\n" for r in records)
-        _atomic_write(path, existing + lines)
+        """Append a chunk in place and fsync it, all or nothing, after cutting
+        off a torn last line; a concurrent reader sees only whole lines."""
+        _append(self._metrics_path(run_id),
+                "".join(r.to_line() + "\n" for r in records))
 
     def write_meta(self, run_id: str, meta: dict):
         os.makedirs(self.run_dir(run_id), exist_ok=True)
@@ -125,13 +154,8 @@ class DirectoryStore:
         )
 
     def append_trial(self, study_id: str, trial: dict):
-        os.makedirs(self.study_dir(study_id), exist_ok=True)
-        path = os.path.join(self.study_dir(study_id), "trials.ndjson")
-        existing = ""
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                existing = fh.read()
-        _atomic_write(path, existing + json.dumps(trial, sort_keys=True) + "\n")
+        _append(os.path.join(self.study_dir(study_id), "trials.ndjson"),
+                json.dumps(trial, sort_keys=True) + "\n")
 
     def read_study(self, study_id: str) -> dict:
         with open(os.path.join(self.study_dir(study_id), "study.json"),
@@ -140,10 +164,7 @@ class DirectoryStore:
 
     def read_trials(self, study_id: str):
         path = os.path.join(self.study_dir(study_id), "trials.ndjson")
-        if not os.path.exists(path):
-            return []
-        with open(path, encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+        return [json.loads(line) for line in _read_lines(path)]
 
     def list_studies(self):
         studies = os.path.join(self.root, "studies")
@@ -165,16 +186,8 @@ class DirectoryStore:
         )
 
     def read_records(self, run_id: str):
-        path = self._metrics_path(run_id)
-        if not os.path.exists(path):
-            return []
-        records = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(MetricRecord.from_line(run_id, line))
-        return records
+        return [MetricRecord.from_line(run_id, line)
+                for line in _read_lines(self._metrics_path(run_id))]
 
 
 def query(store: DirectoryStore, run_ids=None, experiment=None, component=None,

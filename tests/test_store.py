@@ -60,12 +60,57 @@ class TestDirectoryStore:
         assert store.list_runs() == ["r1", "r2"]
 
     def test_no_partial_lines_on_rewrite(self, store):
-        # every append rewrites the file whole; a reader between appends
-        # must always see complete lines
+        # a 500-line chunk goes down in one append; reading it back must
+        # give complete lines only, each once and in order
         store.append_records("r1", make_records("r1", 500))
         records = store.read_records("r1")
         assert len(records) == 500
         assert all(r.step == i for i, r in enumerate(records))
+
+
+class TestTornTail:
+    """A crash can leave a last line without its newline."""
+
+    TORN = b'{"c":"A","t":"lo'
+
+    def tear(self, path):
+        with open(path, "ab") as fh:
+            fh.write(self.TORN)
+
+    def test_torn_metrics_line_skipped_then_repaired(self, store):
+        records = make_records("r1", 6)
+        store.append_records("r1", records[:3])
+        path = os.path.join(store.root, "runs", "r1", "metrics.ndjson")
+        self.tear(path)
+        assert store.read_records("r1") == records[:3]
+        store.append_records("r1", records[3:])
+        assert store.read_records("r1") == records
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == "".join(r.to_line() + "\n" for r in records)
+
+    def test_torn_trials_line_skipped_then_repaired(self, store):
+        store.append_trial("s1", {"trial_id": 0})
+        store.append_trial("s1", {"trial_id": 1})
+        self.tear(os.path.join(store.root, "studies", "s1", "trials.ndjson"))
+        assert [t["trial_id"] for t in store.read_trials("s1")] == [0, 1]
+        store.append_trial("s1", {"trial_id": 2})
+        assert [t["trial_id"] for t in store.read_trials("s1")] == [0, 1, 2]
+
+    def test_merge_into_torn_primary(self, store, spool):
+        store.append_records("r1", make_records("r1", 10))
+        self.tear(os.path.join(store.root, "runs", "r1", "metrics.ndjson"))
+        spool.append_records("r1", make_records("r1", 20))
+        report = merge_spool(store, spool)
+        assert (report.merged, report.skipped) == (10, 10)
+        merged = store.read_records("r1")
+        assert [r.step for r in merged] == list(range(20))
+
+    def test_appends_keep_the_file_in_place(self, store):
+        path = os.path.join(store.root, "runs", "r1", "metrics.ndjson")
+        store.append_records("r1", make_records("r1", 2))
+        inode = os.stat(path).st_ino
+        store.append_records("r1", make_records("r1", 2))
+        assert os.stat(path).st_ino == inode
 
 
 class TestQuery:
@@ -228,6 +273,37 @@ class TestSpoolFailover:
         spool_steps = {r.step for r in spool.read_records(run.run_id)}
         assert primary_steps | spool_steps == set(range(200))
         assert run.spooled_records == len(spool_steps)
+
+    def test_failed_fsync_rolls_the_chunk_back(self, store, spool,
+                                               monkeypatch):
+        real_fsync = os.fsync
+        calls = []
+
+        def fsync_fails_once(fd):
+            calls.append(fd)
+            if len(calls) == 3:  # the primary's third and last chunk
+                raise OSError("fsync failed")
+            real_fsync(fd)
+
+        monkeypatch.setattr(gatedflow.store.os, "fsync", fsync_fails_once)
+        run = open_run(store, "Toy", spool=spool, chunk=10, interval=60.0)
+        proxy = run.proxy("A")
+        for i in range(30):
+            proxy.record("loss", float(i))
+        run.close()
+        assert run.spooled_records == 10
+        primary = store.read_records(run.run_id)
+        assert [r.step for r in primary] == list(range(20))
+        path = os.path.join(store.run_dir(run.run_id), "metrics.ndjson")
+        # the failed chunk left no byte behind, and no stray file either
+        assert os.path.getsize(path) == sum(len(r.to_line()) + 1
+                                            for r in primary)
+        assert sorted(os.listdir(store.run_dir(run.run_id))) == [
+            "meta.json", "metrics.ndjson"]
+        report = merge_spool(store, spool)
+        assert (report.merged, report.skipped) == (10, 0)
+        merged = store.read_records(run.run_id)
+        assert sorted(r.step for r in merged) == list(range(30))
 
     def test_without_spool_failure_propagates(self, store, monkeypatch):
         fail = set()
