@@ -138,7 +138,7 @@ class Subject:
     publish waits on ``_writable`` until it is zero, stores the next
     generation and wakes the observers waiting on ``_readable``. Only the
     observe that brings the count to zero wakes the producer; poison wakes
-    both sets. The tap runs under the lock, so it sees generation order.
+    both sets.
     """
 
     def __init__(self, namespace: str, registry: ChannelRegistry, owner=None):
@@ -151,7 +151,6 @@ class Subject:
         self._readable = threading.Condition(self._lock)
         self._writable = threading.Condition(self._lock)
         self._unacked = 0
-        self._tap = None  # optional (namespace, value) callback, set before seal
 
     def _require_sealed(self):
         if not self._registry.sealed:
@@ -164,8 +163,6 @@ class Subject:
         self.slot = value
         self.generation += 1
         self._unacked = len(self._registry.observers_of(self.namespace))
-        if self._tap is not None:
-            self._tap(self.namespace, value)
         self._readable.notify_all()
 
     def publish(self, value, timeout: float | None = None):

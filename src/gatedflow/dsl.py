@@ -46,13 +46,7 @@ class Num:
 @dataclass(frozen=True)
 class Name:
     ident: str
-    pos: tuple[int, int] = (0, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, Name) and self.ident == other.ident
-
-    def __hash__(self):
-        return hash(self.ident)
+    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -74,17 +68,7 @@ Expr = Num | Name | Neg | BinOp
 class Assign:
     target: str
     expr: Expr
-    pos: tuple[int, int] = (0, 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Assign)
-            and self.target == other.target
-            and self.expr == other.expr
-        )
-
-    def __hash__(self):
-        return hash((self.target, self.expr))
+    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -92,18 +76,7 @@ class CallAssign:
     target: str
     callee: str
     args: tuple[Expr, ...]
-    pos: tuple[int, int] = (0, 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CallAssign)
-            and self.target == other.target
-            and self.callee == other.callee
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        return hash((self.target, self.callee, self.args))
+    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 Statement = Assign | CallAssign

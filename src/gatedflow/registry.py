@@ -104,7 +104,6 @@ class ExperimentSpec:
     name: str
     recipes: list[FactoryRecipe] = field(default_factory=list)
     default_max_steps: int | None = None
-    default_step_timeout: float | None = None
 
 
 class TypeRegistry:
@@ -258,10 +257,7 @@ def build_experiment(registry: TypeRegistry, name: str, exp_args=None,
     unused = set(exp_args) - consumed
     if unused:
         raise UnusedArgument(unused)
-    timeout = step_timeout
-    if timeout is None:
-        timeout = experiment.default_step_timeout
-    kwargs = {} if timeout is None else {"step_timeout": timeout}
+    kwargs = {} if step_timeout is None else {"step_timeout": step_timeout}
     collection = ComponentCollection(components, logger=logger, **kwargs)
     collection.bind()
     return collection

@@ -145,7 +145,15 @@ class RunReport:
 
 
 class ComponentCollection:
-    """Binds components into one channel registry and runs them as threads."""
+    """Binds components into one channel registry and runs them as threads.
+
+    ``logger``, if given, is the only record of a run's values. Its
+    ``proxy(name)`` is called once per component at bind and returns an
+    object whose ``record(tag, value)`` is called, in order, for each value
+    the component initialises or publishes (tagged with the internal write
+    name) and for each ``ctx.record``. ``open_run`` returns one that logs
+    to a store.
+    """
 
     def __init__(self, components, step_timeout: float = DEFAULT_STEP_TIMEOUT,
                  logger=None):
@@ -154,10 +162,9 @@ class ComponentCollection:
             raise ValueError("component names must be unique")
         self.components = list(components)
         self.step_timeout = step_timeout
-        self.logger = logger  # RunLogger providing .proxy(component_name)
+        self.logger = logger
         self.registry: ChannelRegistry | None = None
         self.bind_report: BindReport | None = None
-        self.trace: dict[str, list] = {}
         self._stop = threading.Event()
         self._wake = threading.Condition()  # the supervisor's latch
         self._ran = False
@@ -168,9 +175,8 @@ class ComponentCollection:
         registry = ChannelRegistry(default_timeout=self.step_timeout)
         for comp in self.components:
             for internal in sorted(comp.writes):
-                subject = registry.create_subject(comp.io_map[internal], owner=comp.name)
-                subject._tap = self._record_trace
-                comp.subjects[internal] = subject
+                comp.subjects[internal] = registry.create_subject(
+                    comp.io_map[internal], owner=comp.name)
             for internal in sorted(comp.reads):
                 comp.observers[internal] = registry.acquire_observer(
                     comp.io_map[internal], comp.name
@@ -180,9 +186,6 @@ class ComponentCollection:
         self.bind_report = registry.seal_and_bind()
         self.registry = registry
         return self.bind_report
-
-    def _record_trace(self, namespace, value):
-        self.trace.setdefault(namespace, []).append(value)
 
     # -- execution ----------------------------------------------------------
 

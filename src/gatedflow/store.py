@@ -20,6 +20,7 @@ from a prefix of that chunk. meta.json and study.json are replaced atomically.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import queue
@@ -70,11 +71,16 @@ def new_run_id() -> str:
 
 def _atomic_write(path: str, content: str):
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(content)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(content)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # keep the original error
+            os.remove(tmp)
+        raise
 
 
 def _append(path: str, text: str):

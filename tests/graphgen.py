@@ -10,6 +10,8 @@ import random
 
 from gatedflow import ComponentCollection, make_component
 
+from tracelog import TraceLogger
+
 
 def random_graph(rng: random.Random, n_components=None):
     n = n_components or rng.randint(2, 5)
@@ -55,10 +57,13 @@ def random_graph(rng: random.Random, n_components=None):
 
 
 def build_twin(rng_seed, n_components=None):
-    """Two structurally identical graphs: one to run, one for the oracle."""
+    """Two structurally identical graphs: one bound to run, logging to the
+    returned TraceLogger, and one for the oracle."""
     make = lambda: random_graph(random.Random(rng_seed), n_components)
     runtime_components = make()
     oracle_components = make()
-    collection = ComponentCollection(runtime_components, step_timeout=10.0)
+    logger = TraceLogger()
+    collection = ComponentCollection(runtime_components, step_timeout=10.0,
+                                     logger=logger)
     collection.bind()
-    return collection, oracle_components
+    return collection, oracle_components, logger

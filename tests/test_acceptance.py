@@ -35,6 +35,7 @@ from gatedflow.viz import aggregate, export_csv, read_csv, render_svg
 
 import graphgen
 import test_dsl
+from tracelog import TraceLogger
 
 
 @contextlib.contextmanager
@@ -54,20 +55,24 @@ def criterion(name, budget_seconds):
 
 def test_toy_trace_equivalence(registry):
     with criterion("toy-trace equivalence", 1.0):
-        collection = build_experiment(registry, "ToyExperimentPlain")
+        logger = TraceLogger()
+        collection = build_experiment(registry, "ToyExperimentPlain",
+                                      logger=logger)
         oracle = oracle_run(
             build_experiment(registry, "ToyExperimentPlain").components, 10
         )
         report = collection.run(max_steps=10)
         assert report.outcome == "completed"
-        assert collection.trace == oracle.sequences
-        assert collection.trace["alpha"][:3] == [2, 8, 80]
+        trace = logger.sequences(collection.components)
+        assert trace == oracle.sequences
+        assert trace["alpha"][:3] == [2, 8, 80]
 
 
 def test_remap_transparency(registry):
     with criterion("remap transparency", 1.0):
+        logger = TraceLogger()
         plain = build_experiment(registry, "ToyExperimentPlain")
-        remapped = build_experiment(registry, "ToyExperiment")
+        remapped = build_experiment(registry, "ToyExperiment", logger=logger)
         c_plain = next(c for c in plain.components if c.name == "C")
         c_remap = next(c for c in remapped.components if c.name == "C")
         assert c_plain.step_source == c_remap.step_source
@@ -77,18 +82,21 @@ def test_remap_transparency(registry):
         )
         report = remapped.run(max_steps=10)
         assert report.outcome == "completed"
-        assert remapped.trace == oracle.sequences
-        assert remapped.trace["alpha"][:2] == [2, 24]
+        trace = logger.sequences(remapped.components)
+        assert trace == oracle.sequences
+        assert trace["alpha"][:2] == [2, 24]
 
 
 def test_randomised_graph_equivalence():
     with criterion("randomised graph equivalence (20 graphs)", 30.0):
         for seed in range(20):
-            collection, oracle_components = graphgen.build_twin(52000 + seed)
+            collection, oracle_components, logger = graphgen.build_twin(
+                52000 + seed)
             oracle = oracle_run(oracle_components, 50)
             report = collection.run(max_steps=50)
             assert report.outcome == "completed", f"graph seed {seed}"
-            assert collection.trace == oracle.sequences, f"graph seed {seed}"
+            assert logger.sequences(collection.components) == \
+                oracle.sequences, f"graph seed {seed}"
 
 
 def test_failure_modes():

@@ -123,6 +123,7 @@ class TestRoundTrip:
         for _ in range(500):
             ast = random_program(rng)
             assert parse(to_source(ast)) == ast
+            assert hash(parse(to_source(ast))) == hash(ast)
 
     def test_toy_component_bodies_round_trip(self):
         for source in (

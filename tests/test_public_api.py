@@ -1,0 +1,46 @@
+"""The public contract: exported names, CLI subcommands and exit codes.
+
+A change to any of these is a change for every user of the package, so it
+has to be made here too, on purpose.
+"""
+
+import argparse
+
+import gatedflow
+from gatedflow import cli
+
+PUBLIC_NAMES = [
+    "AggregatedSeries", "BindReport", "ChannelRegistry", "Component",
+    "ComponentCollection", "ComponentSpec", "DirectoryStore", "EvalEnv",
+    "ExperimentSpec", "FactoryRecipe", "FlowError", "HyperparameterDescriptor",
+    "IOSets", "MetricRecord", "NativeBody", "Observer", "OracleResult",
+    "ProxyLogger", "RunLogger", "RunReport", "SearchSpace", "StepAST",
+    "Study", "SubcomponentSpec", "Subject", "Trial", "TypeRegistry",
+    "aggregate", "best_trial", "build_experiment", "build_search_space",
+    "collect_hyperparameters", "evaluate", "export_csv", "extract_io",
+    "get_class_args", "make_component", "merge_spool", "open_run",
+    "oracle_run", "parse", "query", "read_csv", "register_builtin",
+    "render_svg", "run_study", "sample", "study_from_descriptors",
+    "to_source", "validate",
+]
+
+SUBCOMMANDS = ["run", "study", "list", "export", "plot", "merge-spool",
+               "emit-batch-script", "oracle-run"]
+
+
+def test_exported_names():
+    assert sorted(gatedflow.__all__) == PUBLIC_NAMES
+    for name in gatedflow.__all__:
+        assert hasattr(gatedflow, name), name
+
+
+def test_cli_subcommands():
+    parser = cli.build_parser()
+    subparsers, = (a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == SUBCOMMANDS
+
+
+def test_exit_codes():
+    assert (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_TIMEOUT, cli.EXIT_RUNTIME,
+            cli.EXIT_STORE) == (0, 2, 3, 4, 5)

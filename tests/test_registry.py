@@ -21,6 +21,8 @@ from gatedflow.registry import (
     get_class_args,
 )
 
+from tracelog import TraceLogger
+
 
 class TestRegistration:
     def test_duplicate_name_in_same_tier(self, registry):
@@ -153,10 +155,11 @@ class TestCollect:
 
 class TestBuildExperiment:
     def test_toy_experiment_runs(self, registry):
-        collection = build_experiment(registry, "ToyExperiment")
+        logger = TraceLogger()
+        collection = build_experiment(registry, "ToyExperiment", logger=logger)
         report = collection.run(max_steps=2)
         assert report.outcome == "completed"
-        assert collection.trace["alpha"] == [2, 24]
+        assert logger.sequences(collection.components)["alpha"] == [2, 24]
 
     def test_unknown_experiment(self, registry):
         with pytest.raises(UnknownExperiment):
@@ -167,18 +170,22 @@ class TestBuildExperiment:
             build_experiment(registry, "ToyExperiment", {"bogus": 1})
 
     def test_injected_scalers_change_the_pipeline(self, registry):
+        logger = TraceLogger()
         collection = build_experiment(registry, "ToyStudy", {
             "ComponentF.SubcomponentA.scaler": 0.5,
             "ComponentF.SubcomponentB.scaler": 0.25,
-        })
+        }, logger=logger)
         report = collection.run(max_steps=1)
         assert report.outcome == "completed"
-        assert collection.trace["beta"] == [1 * 0.5 * 0.25]
+        assert logger.sequences(collection.components)["beta"] == \
+            [1 * 0.5 * 0.25]
 
     def test_defaults_when_no_args(self, registry):
-        collection = build_experiment(registry, "ToyStudy")
+        logger = TraceLogger()
+        collection = build_experiment(registry, "ToyStudy", logger=logger)
         collection.run(max_steps=1)
-        assert collection.trace["beta"] == [pytest.approx(1 * 0.1 * 0.2)]
+        assert logger.sequences(collection.components)["beta"] == \
+            [pytest.approx(1 * 0.1 * 0.2)]
 
     def test_substituting_a_registered_subcomponent(self, registry):
         registry.register("subcomponent", SubcomponentSpec(
@@ -194,6 +201,8 @@ class TestBuildExperiment:
                               slots={"subA": "OffsetSub", "subB": "SubcomponentB"}),
             ],
         ))
-        collection = build_experiment(registry, "ToyStudyOffset")
+        logger = TraceLogger()
+        collection = build_experiment(registry, "ToyStudyOffset", logger=logger)
         collection.run(max_steps=1)
-        assert collection.trace["beta"] == [pytest.approx((1 + 10.0) * 0.2)]
+        assert logger.sequences(collection.components)["beta"] == \
+            [pytest.approx((1 + 10.0) * 0.2)]

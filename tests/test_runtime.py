@@ -1,8 +1,11 @@
 """Component construction, binding, and the concurrent gated run loop."""
 
+import gc
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -22,6 +25,7 @@ from gatedflow.errors import (
 from gatedflow.store import open_run, query
 
 from graphgen import build_twin
+from tracelog import TraceLogger
 
 C_IO = {"x": "x", "y": "y", "alpha": "alpha"}
 C_INIT = "x = 1\ny = 1\n"
@@ -80,7 +84,7 @@ def bound_graph(name, registry, logger=None):
     return collection
 
 
-def toy_abc(step_timeout=5.0, with_init=True, a_body=None):
+def toy_abc(step_timeout=5.0, with_init=True, a_body=None, logger=None):
     a = make_component(
         "A", {"x": "x", "y": "y", "z": "z"},
         step_body=a_body if a_body is not None else "temp = x * y\nz = temp\n",
@@ -89,7 +93,8 @@ def toy_abc(step_timeout=5.0, with_init=True, a_body=None):
                        step_body="alpha = x + z\n")
     c = make_component("C", C_IO, init_body=C_INIT if with_init else None,
                        step_body=C_STEP)
-    return ComponentCollection([a, b, c], step_timeout=step_timeout)
+    return ComponentCollection([a, b, c], step_timeout=step_timeout,
+                               logger=logger)
 
 
 class TestMakeComponent:
@@ -140,22 +145,26 @@ class TestBind:
 
 class TestRun:
     def test_toy_trace_matches_hand_check(self):
-        collection = toy_abc()
+        logger = TraceLogger()
+        collection = toy_abc(logger=logger)
         collection.bind()
         report = collection.run(max_steps=3)
         assert report.outcome == "completed"
         assert report.steps == {"A": 3, "B": 3, "C": 3}
-        assert collection.trace["alpha"] == [2, 8, 80]
-        assert collection.trace["x"] == [1, 4, 16, 160]
-        assert collection.trace["y"] == [1, 1.0, 4.0, 40.0]
-        assert collection.trace["z"] == [1, 4, 64]
+        trace = logger.sequences(collection.components)
+        assert trace["alpha"] == [2, 8, 80]
+        assert trace["x"] == [1, 4, 16, 160]
+        assert trace["y"] == [1, 1.0, 4.0, 40.0]
+        assert trace["z"] == [1, 4, 64]
 
     def test_remapped_toy_with_interceptor(self, registry):
-        collection = build_experiment(registry, "ToyExperiment")
+        logger = TraceLogger()
+        collection = build_experiment(registry, "ToyExperiment", logger=logger)
         report = collection.run(max_steps=2)
         assert report.outcome == "completed"
-        assert collection.trace["alpha"] == [2, 24]
-        assert collection.trace["x"] == [1, 8, 96]
+        trace = logger.sequences(collection.components)
+        assert trace["alpha"] == [2, 24]
+        assert trace["x"] == [1, 8, 96]
 
     def test_missing_init_times_out_with_blocked_report(self):
         collection = toy_abc(step_timeout=0.3, with_init=False)
@@ -197,23 +206,24 @@ class TestSignalStop:
         assert all(steps == 0 for steps in report.steps.values())
 
     def test_stop_mid_run_bounded_by_one_step(self):
-        collection = toy_abc(step_timeout=5.0)
+        logger = TraceLogger()
+        collection = toy_abc(step_timeout=5.0, logger=logger)
         collection.bind()
         stopper = {}
 
         def stop_after_first_alpha():
-            while "alpha" not in collection.trace:
+            while ("B", "alpha") not in logger.records:
                 time.sleep(0.001)
             collection.signal_stop()
             collection.signal_stop()  # idempotent
-            stopper["at"] = dict(collection.trace)
+            stopper["seen"] = len(logger.records[("B", "alpha")])
 
         t = threading.Thread(target=stop_after_first_alpha)
         t.start()
         report = collection.run()
         t.join()
         assert report.outcome == "stopped"
-        seen = len(stopper["at"].get("alpha", []))
+        seen = stopper["seen"]
         # boundary race is bounded by one step per component
         for steps in report.steps.values():
             assert steps <= seen + 2
@@ -229,7 +239,6 @@ class TestOracleEquivalence:
         run.close()
         assert report.outcome == "completed"
         oracle = oracle_run(bound_graph(graph, registry).components, 10)
-        assert collection.trace == oracle.sequences
         logged = query(store, run_ids=[run.run_id])
         for comp in collection.components:  # every write is logged once
             for internal in comp.writes:
@@ -242,18 +251,20 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_graphs(self, seed):
-        collection, oracle_components = build_twin(31400 + seed)
+        collection, oracle_components, logger = build_twin(31400 + seed)
         oracle = oracle_run(oracle_components, 50)
         report = collection.run(max_steps=50)
         assert report.outcome == "completed"
-        assert collection.trace == oracle.sequences
+        assert logger.sequences(collection.components) == oracle.sequences
 
 
 class TestWideAndLong:
     """Wide fan-out and long runs: every handoff is woken, none times out."""
 
     def test_dsl_star_matches_oracle(self):
-        collection = ComponentCollection(dsl_star(12), step_timeout=10.0)
+        logger = TraceLogger()
+        collection = ComponentCollection(dsl_star(12), step_timeout=10.0,
+                                         logger=logger)
         collection.bind()
         assert len(collection.bind_report.entry("p").consumers) == 12
         interval = sys.getswitchinterval()
@@ -263,13 +274,15 @@ class TestWideAndLong:
         finally:
             sys.setswitchinterval(interval)
         assert report.outcome == "completed"
-        assert collection.trace == oracle_run(dsl_star(12), 300).sequences
+        assert logger.sequences(collection.components) == \
+            oracle_run(dsl_star(12), 300).sequences
 
     def test_two_thousand_step_random_graph_matches_oracle(self):
-        collection, oracle_components = build_twin(31500, n_components=5)
+        collection, oracle_components, logger = build_twin(31500, n_components=5)
         report = run_before_deadline(collection, max_steps=2000)
         assert report.outcome == "completed"
-        assert collection.trace == oracle_run(oracle_components, 2000).sequences
+        assert logger.sequences(collection.components) == \
+            oracle_run(oracle_components, 2000).sequences
 
     def test_fanout_sixteen_deadlock_names_every_blocked_component(self):
         rounds = []
@@ -308,7 +321,8 @@ class TestWideAndLong:
 
 class TestIsolation:
     def test_native_body_swap_preserves_sequences(self):
-        scripted = toy_abc()
+        scripted_log = TraceLogger()
+        scripted = toy_abc(logger=scripted_log)
         scripted.bind()
         scripted.run(max_steps=5)
 
@@ -316,10 +330,12 @@ class TestIsolation:
             fn=lambda inputs, ctx: {"z": inputs["x"] * inputs["y"]},
             reads={"x", "y"}, writes={"z"},
         )
-        swapped = toy_abc(a_body=native)
+        swapped_log = TraceLogger()
+        swapped = toy_abc(a_body=native, logger=swapped_log)
         swapped.bind()
         swapped.run(max_steps=5)
-        assert swapped.trace == scripted.trace
+        assert swapped_log.sequences(swapped.components) == \
+            scripted_log.sequences(scripted.components)
 
     def test_remap_leaves_script_text_untouched(self, registry):
         plain = build_experiment(registry, "ToyExperimentPlain")
@@ -338,3 +354,30 @@ class TestBoundedTermination:
         start = time.monotonic()
         collection.run(max_steps=100)
         assert time.monotonic() - start < 0.5 + 5.0
+
+
+class TestFinishedCollection:
+    """A finished run keeps no copy of its values; its logger has them."""
+
+    def test_freed_by_refcount_alone(self, registry):
+        gc.disable()
+        try:
+            collection = build_experiment(registry, "ToyExperimentPlain")
+            assert collection.run(max_steps=10).outcome == "completed"
+            ref = weakref.ref(collection)
+            del collection
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_holds_no_memory_per_step(self, registry):
+        tracemalloc.start()
+        try:
+            collection = build_experiment(registry, "ToyExperimentPlain")
+            bound = tracemalloc.get_traced_memory()[0]
+            report = collection.run(max_steps=2000)
+            held = tracemalloc.get_traced_memory()[0] - bound
+        finally:
+            tracemalloc.stop()
+        assert report.outcome == "completed"
+        assert held < 32 * 1024

@@ -54,6 +54,22 @@ class TestDirectoryStore:
         assert [t["trial_id"] for t in store.read_trials("s1")] == [0, 1]
         assert store.list_studies() == ["s1"]
 
+    def test_failed_atomic_write_leaves_no_tmp_file(self, store, monkeypatch):
+        store.write_meta("r1", {"seed": 1})
+
+        def fsync_fails(fd):
+            raise OSError("fsync failed")
+
+        monkeypatch.setattr(gatedflow.store.os, "fsync", fsync_fails)
+        with pytest.raises(OSError):
+            store.write_meta("r1", {"seed": 2})
+        with pytest.raises(OSError):
+            store.write_study("s1", {"study_id": "s1"})
+        # the old meta.json stays whole, and no meta.json.tmp/study.json.tmp
+        assert os.listdir(store.run_dir("r1")) == ["meta.json"]
+        assert store.read_meta("r1") == {"seed": 1}
+        assert os.listdir(store.study_dir("s1")) == []
+
     def test_list_runs_sorted(self, store):
         store.append_records("r2", make_records("r2", 1))
         store.append_records("r1", make_records("r1", 1))
