@@ -9,6 +9,9 @@ independent components self-organise into a dataflow graph.
 
 Each event wakes only the threads it unblocks: a subject's one lock carries
 two wait sets, one for its observers and one for its producer (see Subject).
+
+Sealing wires the handles: each Subject gets its observer count and timeout,
+each Observer its Subject. No handle refers back to the registry.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ class ChannelRegistry:
         self.poisoned = False
         self._subjects: dict[str, Subject] = {}
         self._observers: dict[tuple[str, str], Observer] = {}
-        self._by_namespace: dict[str, list[Observer]] = {}
 
     # -- construction phase -------------------------------------------------
 
@@ -82,7 +84,7 @@ class ChannelRegistry:
             raise RegistrySealed(f"cannot create subject {namespace!r} after seal")
         if namespace in self._subjects:
             raise DuplicateSubject(namespace)
-        subject = Subject(namespace, self, owner)
+        subject = Subject(namespace, owner)
         self._subjects[namespace] = subject
         return subject
 
@@ -91,27 +93,28 @@ class ChannelRegistry:
             raise RegistrySealed(f"cannot acquire observer {namespace!r} after seal")
         key = (namespace, owner)
         if key not in self._observers:
-            observer = Observer(namespace, owner, self)
-            self._observers[key] = observer
-            self._by_namespace.setdefault(namespace, []).append(observer)
+            self._observers[key] = Observer(namespace, owner)
         return self._observers[key]
 
     def seal_and_bind(self) -> BindReport:
-        """Close registration and verify every observer has a producer."""
-        missing = {
-            ns for (ns, _owner) in self._observers if ns not in self._subjects
-        }
+        """Close registration, verify every observer has a producer, and wire
+        the handles."""
+        consumers: dict[str, list[str]] = {}
+        for ns, owner in self._observers:
+            consumers.setdefault(ns, []).append(owner)
+        missing = set(consumers) - set(self._subjects)
         if missing:
             raise IncompleteGraph(missing)
         self.sealed = True
+        for (ns, _owner), observer in self._observers.items():
+            observer._subject = self._subjects[ns]
         report = BindReport()
-        namespaces = sorted(set(self._subjects) | set(self._by_namespace))
-        for ns in namespaces:
-            subject = self._subjects.get(ns)
-            consumers = sorted(o.owner for o in self._by_namespace.get(ns, []))
-            report.entries.append(
-                BindEntry(ns, subject.owner if subject else None, consumers)
-            )
+        for ns in sorted(self._subjects):
+            subject = self._subjects[ns]
+            owners = sorted(consumers.get(ns, []))
+            subject._timeout = self.default_timeout
+            subject._fanout = len(owners)
+            report.entries.append(BindEntry(ns, subject.owner, owners))
         return report
 
     # -- execution phase ----------------------------------------------------
@@ -121,14 +124,9 @@ class ChannelRegistry:
         self.poisoned = True
         for subject in self._subjects.values():
             with subject._lock:
+                subject._poisoned = True
                 subject._readable.notify_all()
                 subject._writable.notify_all()
-
-    def subject(self, namespace: str) -> "Subject":
-        return self._subjects[namespace]
-
-    def observers_of(self, namespace: str) -> list["Observer"]:
-        return self._by_namespace.get(namespace, [])
 
 
 class Subject:
@@ -141,19 +139,21 @@ class Subject:
     both sets.
     """
 
-    def __init__(self, namespace: str, registry: ChannelRegistry, owner=None):
+    def __init__(self, namespace: str, owner=None):
         self.namespace = namespace
         self.owner = owner
         self.generation = 0
         self.slot = None
-        self._registry = registry
+        self._fanout = None   # observer count; None until sealed
+        self._timeout = None  # default wait, copied from the registry at seal
+        self._poisoned = False
         self._lock = threading.RLock()
         self._readable = threading.Condition(self._lock)
         self._writable = threading.Condition(self._lock)
         self._unacked = 0
 
     def _require_sealed(self):
-        if not self._registry.sealed:
+        if self._fanout is None:
             raise RegistryNotSealed(
                 f"channel traffic on {self.namespace!r} before seal"
             )
@@ -162,7 +162,7 @@ class Subject:
         """Hold ``value`` as the next generation and wake the observers."""
         self.slot = value
         self.generation += 1
-        self._unacked = len(self._registry.observers_of(self.namespace))
+        self._unacked = self._fanout
         self._readable.notify_all()
 
     def publish(self, value, timeout: float | None = None):
@@ -170,11 +170,11 @@ class Subject:
         check_value(value)
         self._require_sealed()
         if timeout is None:
-            timeout = self._registry.default_timeout
+            timeout = self._timeout
         deadline = time.monotonic() + timeout
         with self._lock:
             while True:
-                if self._registry.poisoned:
+                if self._poisoned:
                     raise ChannelPoisoned(self.namespace)
                 if not self._unacked:
                     break
@@ -194,7 +194,7 @@ class Subject:
                     f"subject {self.namespace!r} already holds generation "
                     f"{self.generation}"
                 )
-            if self._registry.poisoned:
+            if self._poisoned:
                 raise ChannelPoisoned(self.namespace)
             self._store(value)
 
@@ -202,25 +202,25 @@ class Subject:
 class Observer:
     """Consumer handle for one (namespace, owner) pair."""
 
-    def __init__(self, namespace: str, owner: str, registry: ChannelRegistry):
+    def __init__(self, namespace: str, owner: str):
         self.namespace = namespace
         self.owner = owner
         self.last_consumed = 0
-        self._registry = registry
+        self._subject: Subject | None = None  # set at seal
 
     def observe(self, timeout: float | None = None):
         """Block until a generation newer than last_consumed exists, return it."""
-        if not self._registry.sealed:
+        subject = self._subject
+        if subject is None:
             raise RegistryNotSealed(
                 f"channel traffic on {self.namespace!r} before seal"
             )
-        subject = self._registry.subject(self.namespace)
         if timeout is None:
-            timeout = self._registry.default_timeout
+            timeout = subject._timeout
         deadline = time.monotonic() + timeout
         with subject._lock:
             while True:
-                if self._registry.poisoned:
+                if subject._poisoned:
                     raise ChannelPoisoned(self.namespace)
                 if subject.generation > self.last_consumed:
                     break

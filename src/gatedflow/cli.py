@@ -130,49 +130,32 @@ def _make_stores(args):
 
 def cmd_run(args, rest) -> int:
     registry = register_builtin()
-    exp_args = {}
     if os.path.exists(args.experiment):
         exp_def = defs.load_experiment_definition(args.experiment)
-        if exp_def.experiment is not None:
-            exp_args = dict(exp_def.args)
-            exp_args.update(
-                _parse_experiment_args(registry, exp_def.experiment, rest)
-            )
-            exp_def.args = exp_args
-        elif rest:
-            print(f"unrecognised arguments: {' '.join(rest)}", file=sys.stderr)
-            return EXIT_USAGE
-        label = exp_def.label
-        max_steps = args.max_steps if args.max_steps is not None else exp_def.max_steps
-        step_timeout = (args.step_timeout if args.step_timeout is not None
-                        else exp_def.step_timeout)
-        builder = lambda logger: defs.build_from_definition(registry, exp_def, logger)
-        default_steps = (
-            registry.experiment(exp_def.experiment).default_max_steps
-            if exp_def.experiment is not None else None
-        )
     else:
-        exp_args = _parse_experiment_args(registry, args.experiment, rest)
-        label = args.experiment
-        max_steps = args.max_steps
-        step_timeout = args.step_timeout
-        spec = registry.experiment(args.experiment)
-        default_steps = spec.default_max_steps
-        builder = lambda logger: build_experiment(
-            registry, args.experiment, exp_args, logger=logger,
-            step_timeout=step_timeout,
-        )
-    if max_steps is None:
-        max_steps = default_steps
+        exp_def = defs.ExperimentDefinition(args.experiment, None, {}, None, None)
+    default_steps = None
+    if exp_def.experiment is not None:
+        exp_def.args.update(_parse_experiment_args(registry, exp_def.experiment, rest))
+        default_steps = registry.experiment(exp_def.experiment).default_max_steps
+    elif rest:
+        print(f"unrecognised arguments: {' '.join(rest)}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.max_steps is not None:
+        exp_def.max_steps = args.max_steps
+    if args.step_timeout is not None:
+        exp_def.step_timeout = args.step_timeout
+    max_steps = exp_def.max_steps if exp_def.max_steps is not None else default_steps
     if max_steps is None:
         print("a step bound is required: pass --max-steps", file=sys.stderr)
         return EXIT_USAGE
 
     store, spool = _make_stores(args)
-    run = open_run(store, label, seed=args.seed, args=exp_args, spool=spool)
+    run = open_run(store, exp_def.label, seed=args.seed, args=exp_def.args,
+                   spool=spool)
     try:
-        collection = builder(run)
-        report = collection.run(max_steps=max_steps, step_timeout=step_timeout)
+        collection = defs.build_from_definition(registry, exp_def, run)
+        report = collection.run(max_steps=max_steps)
     except Exception:
         run.close(outcome="error")
         raise

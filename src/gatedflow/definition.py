@@ -33,6 +33,7 @@ Study definitions:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import yaml
@@ -52,6 +53,17 @@ def load_document(path) -> dict:
     if not isinstance(doc, dict):
         raise DefinitionError(f"{path}: expected a mapping at top level")
     return doc
+
+
+def _check_limits(max_steps, step_timeout):
+    """Reject a step bound or step timeout the runtime cannot use."""
+    if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
+        raise DefinitionError(f"max_steps must be an integer >= 0, got {max_steps!r}")
+    if step_timeout is not None and not (
+            type(step_timeout) in (int, float)
+            and 0 < step_timeout <= threading.TIMEOUT_MAX):
+        raise DefinitionError(
+            f"step_timeout must be a positive number, got {step_timeout!r}")
 
 
 @dataclass
@@ -75,6 +87,7 @@ def load_experiment_definition(path) -> ExperimentDefinition:
         raise DefinitionError(
             f"{path}: exactly one of 'experiment' or 'components' is required"
         )
+    _check_limits(doc.get("max_steps"), doc.get("step_timeout"))
     return ExperimentDefinition(
         experiment=experiment,
         components=components,
@@ -94,6 +107,7 @@ def build_from_definition(registry: TypeRegistry, definition: ExperimentDefiniti
     for entry in definition.components:
         if not isinstance(entry, dict) or "name" not in entry:
             raise DefinitionError(f"component entry needs a 'name': {entry!r}")
+        _check_limits(entry.get("max_steps"), None)
         type_name = entry.get("type")
         if type_name is not None:
             spec = registry.component(type_name)
@@ -116,10 +130,8 @@ def build_from_definition(registry: TypeRegistry, definition: ExperimentDefiniti
             io_map_override=override,
             max_steps=entry.get("max_steps"),
         ))
-    kwargs = {}
-    if definition.step_timeout is not None:
-        kwargs["step_timeout"] = definition.step_timeout
-    collection = ComponentCollection(components, logger=logger, **kwargs)
+    collection = ComponentCollection(components, logger=logger,
+                                     step_timeout=definition.step_timeout)
     collection.bind()
     return collection
 
@@ -142,6 +154,7 @@ def load_study_definition(path) -> StudyDefinition:
     doc = load_document(path)
     if "experiment" not in doc:
         raise DefinitionError(f"{path}: study definition needs 'experiment'")
+    _check_limits(doc.get("max_steps"), doc.get("step_timeout"))
     objective = doc.get("objective") or {}
     return StudyDefinition(
         experiment=doc["experiment"],

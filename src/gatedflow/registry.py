@@ -257,7 +257,7 @@ def build_experiment(registry: TypeRegistry, name: str, exp_args=None,
     unused = set(exp_args) - consumed
     if unused:
         raise UnusedArgument(unused)
-    kwargs = {} if step_timeout is None else {"step_timeout": step_timeout}
-    collection = ComponentCollection(components, logger=logger, **kwargs)
+    collection = ComponentCollection(components, step_timeout=step_timeout,
+                                     logger=logger)
     collection.bind()
     return collection

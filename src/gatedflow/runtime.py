@@ -2,9 +2,10 @@
 
 A Component owns a step body (script or native), an io_map translating its
 internal names to external channel namespaces, and, after bind, one Subject
-per write name and one Observer per read name. A ComponentCollection wires
-every component into a shared ChannelRegistry, runs one thread per
-component, and supervises the whole graph for deadlock timeouts.
+per write name and one Observer per read name. A ComponentCollection
+registers every component's handles in one ChannelRegistry, whose seal wires
+them and fixes the step timeout; it runs one thread per component and
+supervises the whole graph for deadlock timeouts.
 
 Script and native bodies share one protocol, ``reads``/``writes`` sets and
 ``run(fetch, emit, record)``; the worker threads bind it to channel
@@ -19,10 +20,8 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from . import dsl
-from .channels import ChannelRegistry, BindReport
+from .channels import DEFAULT_TIMEOUT, ChannelRegistry, BindReport
 from .errors import BadOverride, ChannelPoisoned, ChannelTimeout
-
-DEFAULT_STEP_TIMEOUT = 5.0
 
 
 def discard(tag, value):
@@ -153,15 +152,18 @@ class ComponentCollection:
     the component initialises or publishes (tagged with the internal write
     name) and for each ``ctx.record``. ``open_run`` returns one that logs
     to a store.
+
+    ``step_timeout`` (``None`` means ``channels.DEFAULT_TIMEOUT``) bounds
+    each channel wait; it is fixed here, and bind copies it into the channels.
     """
 
-    def __init__(self, components, step_timeout: float = DEFAULT_STEP_TIMEOUT,
+    def __init__(self, components, step_timeout: float | None = None,
                  logger=None):
         names = [c.name for c in components]
         if len(set(names)) != len(names):
             raise ValueError("component names must be unique")
         self.components = list(components)
-        self.step_timeout = step_timeout
+        self.step_timeout = DEFAULT_TIMEOUT if step_timeout is None else step_timeout
         self.logger = logger
         self.registry: ChannelRegistry | None = None
         self.bind_report: BindReport | None = None
@@ -194,14 +196,12 @@ class ComponentCollection:
         with self._wake:
             self._wake.notify()
 
-    def run(self, max_steps=None, step_timeout=None) -> RunReport:
+    def run(self, max_steps=None) -> RunReport:
         if self.registry is None:
             raise RuntimeError("bind() must succeed before run()")
         if self._ran:
             raise RuntimeError("a ComponentCollection is not reusable after run()")
         self._ran = True
-        timeout = step_timeout if step_timeout is not None else self.step_timeout
-        self.registry.default_timeout = timeout
 
         steps = {c.name: 0 for c in self.components}
         # name -> (namespace, op) while blocked in a channel op, else None.
@@ -299,14 +299,14 @@ class ComponentCollection:
                     break
                 else:
                     self._wake.wait(0.005)
-        deadline = time.monotonic() + timeout + 5.0
+        deadline = time.monotonic() + self.step_timeout + 5.0
         for t in threads:
             t.join(max(0.0, deadline - time.monotonic()))
         if any(t.is_alive() for t in threads):
             # last resort: release anything still parked so join can finish
             self.registry.poison()
             for t in threads:
-                t.join(timeout)
+                t.join(self.step_timeout)
 
         if fail.error is not None:
             return RunReport("error", steps, error=fail.error)

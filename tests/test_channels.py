@@ -12,6 +12,7 @@ from gatedflow.errors import (
     ChannelTimeout,
     DuplicateSubject,
     IncompleteGraph,
+    RegistryNotSealed,
     RegistrySealed,
 )
 
@@ -142,6 +143,29 @@ class TestGating:
         subject.initialise_state(1)
         with pytest.raises(AlreadyInitialised):
             subject.initialise_state(1)
+
+    @pytest.mark.parametrize("op", [
+        lambda subject, observer: subject.publish(1),
+        lambda subject, observer: subject.initialise_state(1),
+        lambda subject, observer: observer.observe(timeout=0.1),
+    ], ids=["publish", "initialise_state", "observe"])
+    def test_traffic_before_seal_raises(self, op):
+        reg = ChannelRegistry()
+        subject = reg.create_subject("x", owner="P")
+        observer = reg.acquire_observer("x", "A")
+        with pytest.raises(RegistryNotSealed):
+            op(subject, observer)
+
+    def test_observe_waits_the_timeout_copied_at_seal(self):
+        reg = ChannelRegistry(default_timeout=0.2)
+        reg.create_subject("x", owner="P")
+        observer = reg.acquire_observer("x", "A")
+        reg.seal_and_bind()
+        reg.default_timeout = 5.0  # too late: seal fixed the handles' timeout
+        start = time.monotonic()
+        with pytest.raises(ChannelTimeout):
+            observer.observe()
+        assert time.monotonic() - start < 1.0
 
     def test_publish_with_no_observers_is_free(self):
         reg = ChannelRegistry(default_timeout=0.2)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -24,6 +25,17 @@ def root(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# A, B and C each wait on another's output: the first step deadlocks.
+STUCK_COMPONENTS = (
+    "components:\n"
+    "  - {name: A, io_map: {x: x, y: y, z: z}, step: \"z = x * y\"}\n"
+    "  - {name: B, io_map: {x: x, z: z, alpha: alpha}, step: \"alpha = x + z\"}\n"
+    "  - name: C\n"
+    "    io_map: {x: x, y: y, alpha: alpha}\n"
+    "    step: \"x = alpha * 2\\ny = alpha / 2\"\n"
+)
 
 
 class TestFlagGeneration:
@@ -92,21 +104,23 @@ class TestRun:
     def test_deadlock_exits_three_with_blocked_report(self, root, tmp_path,
                                                       capsys):
         path = tmp_path / "stuck.yaml"
-        path.write_text(
-            "components:\n"
-            "  - {name: A, io_map: {x: x, y: y, z: z}, step: \"z = x * y\"}\n"
-            "  - {name: B, io_map: {x: x, z: z, alpha: alpha}, step: \"alpha = x + z\"}\n"
-            "  - name: C\n"
-            "    io_map: {x: x, y: y, alpha: alpha}\n"
-            "    step: \"x = alpha * 2\\ny = alpha / 2\"\n"
-            "max_steps: 3\n"
-            "step_timeout: 0.3\n"
-        )
+        path.write_text(STUCK_COMPONENTS + "max_steps: 3\nstep_timeout: 0.3\n")
         code = run_cli("run", str(path), "--store-root", root)
         assert code == EXIT_TIMEOUT
         captured = capsys.readouterr()
         assert json.loads(captured.out)["outcome"] == "timeout"
         assert captured.err.count("blocked:") == 3
+
+    def test_step_timeout_flag_overrides_definition(self, root, tmp_path,
+                                                    capsys):
+        path = tmp_path / "stuck.yaml"
+        path.write_text(STUCK_COMPONENTS + "max_steps: 3\nstep_timeout: 30\n")
+        start = time.monotonic()
+        code = run_cli("run", str(path), "--step-timeout", "0.3",
+                       "--store-root", root)
+        assert code == EXIT_TIMEOUT
+        assert time.monotonic() - start < 10.0
+        assert capsys.readouterr().err.count("blocked:") == 3
 
     def test_body_error_exits_four(self, root, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
@@ -196,6 +210,37 @@ class TestStudy:
     def test_missing_definition_file(self, root):
         assert run_cli("study", "/nonexistent.yaml",
                        "--store-root", root) in (EXIT_USAGE, EXIT_STORE)
+
+
+COUNTER = {"name": "P", "io_map": {"x": "x"}, "init": "x = 1",
+           "step": "x = x + 1"}
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("run", {"step_timeout": "abc"}),
+    ("run", {"step_timeout": -1}),
+    ("run", {"step_timeout": 0}),
+    ("run", {"step_timeout": True}),
+    ("run", {"step_timeout": 1e300}),
+    ("run", {"max_steps": "3"}),
+    ("run", {"max_steps": -1}),
+    ("run", {"max_steps": 2.5}),
+    ("run", {"components": [{**COUNTER, "max_steps": "3"}]}),
+    ("study", {"step_timeout": "abc"}),
+    ("study", {"step_timeout": -1}),
+    ("study", {"max_steps": "3"}),
+    ("study", {"max_steps": False}),
+])
+def test_bad_step_bounds_in_definition_exit_two(root, tmp_path, capsys,
+                                                command, fields):
+    if command == "run":
+        path = tmp_path / "exp.yaml"
+        doc = {"components": [COUNTER], "max_steps": 3, **fields}
+        path.write_text(json.dumps(doc))  # JSON is valid YAML
+    else:
+        path = study_definition(tmp_path, n_trials=2, **fields)
+    assert run_cli(command, str(path), "--store-root", root) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
 
 
 class TestListExportPlot:

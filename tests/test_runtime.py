@@ -365,8 +365,10 @@ class TestFinishedCollection:
             collection = build_experiment(registry, "ToyExperimentPlain")
             assert collection.run(max_steps=10).outcome == "completed"
             ref = weakref.ref(collection)
+            registry_ref = weakref.ref(collection.registry)
             del collection
             assert ref() is None
+            assert registry_ref() is None
         finally:
             gc.enable()
 
