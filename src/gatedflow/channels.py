@@ -165,12 +165,11 @@ class Subject:
         self._unacked = self._fanout
         self._readable.notify_all()
 
-    def publish(self, value, timeout: float | None = None):
+    def publish(self, value):
         """Store the next generation, waiting for all consumers to catch up."""
         check_value(value)
         self._require_sealed()
-        if timeout is None:
-            timeout = self._timeout
+        timeout = self._timeout
         deadline = time.monotonic() + timeout
         with self._lock:
             while True:
@@ -208,15 +207,14 @@ class Observer:
         self.last_consumed = 0
         self._subject: Subject | None = None  # set at seal
 
-    def observe(self, timeout: float | None = None):
+    def observe(self):
         """Block until a generation newer than last_consumed exists, return it."""
         subject = self._subject
         if subject is None:
             raise RegistryNotSealed(
                 f"channel traffic on {self.namespace!r} before seal"
             )
-        if timeout is None:
-            timeout = subject._timeout
+        timeout = subject._timeout
         deadline = time.monotonic() + timeout
         with subject._lock:
             while True:

@@ -145,6 +145,7 @@ def cmd_run(args, rest) -> int:
         exp_def.max_steps = args.max_steps
     if args.step_timeout is not None:
         exp_def.step_timeout = args.step_timeout
+    defs._check_limits(exp_def.max_steps, exp_def.step_timeout)
     max_steps = exp_def.max_steps if exp_def.max_steps is not None else default_steps
     if max_steps is None:
         print("a step bound is required: pass --max-steps", file=sys.stderr)
@@ -186,6 +187,7 @@ def cmd_study(args, rest) -> int:
     seed = args.seed if args.seed is not None else study_def.seed
     parallelism = (args.parallelism if args.parallelism is not None
                    else study_def.parallelism)
+    defs._check_study_counts(seed, n_trials, parallelism)
     store, spool = _make_stores(args)
     space = build_search_space(
         collect_hyperparameters(registry, study_def.experiment)

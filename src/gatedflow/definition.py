@@ -55,15 +55,29 @@ def load_document(path) -> dict:
     return doc
 
 
+def _check_int(field, value, minimum=None):
+    """Reject a value that is not an int (bools included) or is below ``minimum``."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise DefinitionError(f"{field} must be an integer{bound}, got {value!r}")
+
+
 def _check_limits(max_steps, step_timeout):
     """Reject a step bound or step timeout the runtime cannot use."""
-    if max_steps is not None and (type(max_steps) is not int or max_steps < 0):
-        raise DefinitionError(f"max_steps must be an integer >= 0, got {max_steps!r}")
+    if max_steps is not None:
+        _check_int("max_steps", max_steps, 0)
     if step_timeout is not None and not (
             type(step_timeout) in (int, float)
             and 0 < step_timeout <= threading.TIMEOUT_MAX):
         raise DefinitionError(
             f"step_timeout must be a positive number, got {step_timeout!r}")
+
+
+def _check_study_counts(seed, n_trials, parallelism):
+    """Reject a study seed, trial count or parallelism the study cannot use."""
+    _check_int("seed", seed)
+    _check_int("n_trials", n_trials, 0)
+    _check_int("parallelism", parallelism, 1)
 
 
 @dataclass
@@ -156,15 +170,18 @@ def load_study_definition(path) -> StudyDefinition:
         raise DefinitionError(f"{path}: study definition needs 'experiment'")
     _check_limits(doc.get("max_steps"), doc.get("step_timeout"))
     objective = doc.get("objective") or {}
-    return StudyDefinition(
+    definition = StudyDefinition(
         experiment=doc["experiment"],
         direction=doc.get("direction", "minimize"),
         objective_tag=objective.get("tag", "objective"),
         reduce=objective.get("reduce", "last"),
         sampler=doc.get("sampler", "uniform-random"),
-        seed=int(doc.get("seed", 0)),
-        n_trials=int(doc.get("n_trials", 0)),
-        parallelism=int(doc.get("parallelism", 1)),
+        seed=doc.get("seed", 0),
+        n_trials=doc.get("n_trials", 0),
+        parallelism=doc.get("parallelism", 1),
         max_steps=doc.get("max_steps"),
         step_timeout=doc.get("step_timeout"),
     )
+    _check_study_counts(definition.seed, definition.n_trials,
+                        definition.parallelism)
+    return definition

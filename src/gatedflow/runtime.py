@@ -4,8 +4,9 @@ A Component owns a step body (script or native), an io_map translating its
 internal names to external channel namespaces, and, after bind, one Subject
 per write name and one Observer per read name. A ComponentCollection
 registers every component's handles in one ChannelRegistry, whose seal wires
-them and fixes the step timeout; it runs one thread per component and
-supervises the whole graph for deadlock timeouts.
+them and fixes the step timeout; it runs one thread per component and joins
+them. Every way a run ends early (a channel timeout, a body error, a stop
+request) poisons the registry, which releases every blocked channel op.
 
 Script and native bodies share one protocol, ``reads``/``writes`` sets and
 ``run(fetch, emit, record)``; the worker threads bind it to channel
@@ -15,7 +16,6 @@ operations, and the oracle to its sequential slot state.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -155,6 +155,9 @@ class ComponentCollection:
 
     ``step_timeout`` (``None`` means ``channels.DEFAULT_TIMEOUT``) bounds
     each channel wait; it is fixed here, and bind copies it into the channels.
+
+    ``signal_stop()`` poisons the bound registry, so every worker leaves at
+    its next step boundary or channel op; a step cut short is not counted.
     """
 
     def __init__(self, components, step_timeout: float | None = None,
@@ -168,7 +171,6 @@ class ComponentCollection:
         self.registry: ChannelRegistry | None = None
         self.bind_report: BindReport | None = None
         self._stop = threading.Event()
-        self._wake = threading.Condition()  # the supervisor's latch
         self._ran = False
 
     # -- graph construction -------------------------------------------------
@@ -193,8 +195,8 @@ class ComponentCollection:
 
     def signal_stop(self):
         self._stop.set()
-        with self._wake:
-            self._wake.notify()
+        if self.registry is not None:
+            self.registry.poison()
 
     def run(self, max_steps=None) -> RunReport:
         if self.registry is None:
@@ -202,6 +204,8 @@ class ComponentCollection:
         if self._ran:
             raise RuntimeError("a ComponentCollection is not reusable after run()")
         self._ran = True
+        if self._stop.is_set():  # signal_stop() came before bind() made a registry
+            self.registry.poison()
 
         steps = {c.name: 0 for c in self.components}
         # name -> (namespace, op) while blocked in a channel op, else None.
@@ -209,7 +213,6 @@ class ComponentCollection:
         pending: dict[str, tuple[str, str] | None] = dict.fromkeys(steps)
         fail = SimpleNamespace(timeout=False, error=None, blocked=[])
         fail_lock = threading.Lock()
-        live = len(self.components)  # workers not yet exited, under _wake
 
         def snapshot_blocked():
             return sorted(
@@ -217,7 +220,6 @@ class ComponentCollection:
             )
 
         def worker(comp: Component):
-            nonlocal live
             name = comp.name
             record = comp.logger.record if comp.logger is not None else discard
 
@@ -273,9 +275,6 @@ class ComponentCollection:
                 self.registry.poison()
             finally:
                 pending[name] = None
-                with self._wake:
-                    live -= 1
-                    self._wake.notify()
 
         threads = [
             threading.Thread(target=worker, args=(c,), name=f"component-{c.name}",
@@ -285,28 +284,8 @@ class ComponentCollection:
         for t in threads:
             t.start()
 
-        # Supervisor: a completion latch. It sleeps on _wake, which each
-        # worker notifies as it exits, and so does signal_stop(). Only after a
-        # stop request does it poll: workers whose partners stopped stay
-        # parked in channel ops, so once every live worker is parked it
-        # poisons the registry to release them.
-        with self._wake:
-            while live:
-                if not self._stop.is_set():
-                    self._wake.wait()
-                elif len(snapshot_blocked()) >= live:
-                    self.registry.poison()
-                    break
-                else:
-                    self._wake.wait(0.005)
-        deadline = time.monotonic() + self.step_timeout + 5.0
         for t in threads:
-            t.join(max(0.0, deadline - time.monotonic()))
-        if any(t.is_alive() for t in threads):
-            # last resort: release anything still parked so join can finish
-            self.registry.poison()
-            for t in threads:
-                t.join(self.step_timeout)
+            t.join()
 
         if fail.error is not None:
             return RunReport("error", steps, error=fail.error)

@@ -17,8 +17,8 @@ from gatedflow.errors import (
 )
 
 
-def sealed_pair(namespace="x", owner="A"):
-    reg = ChannelRegistry(default_timeout=0.5)
+def sealed_pair(namespace="x", owner="A", timeout=0.5):
+    reg = ChannelRegistry(default_timeout=timeout)
     subject = reg.create_subject(namespace, owner="P")
     observer = reg.acquire_observer(namespace, owner)
     reg.seal_and_bind()
@@ -104,18 +104,18 @@ class TestGating:
         assert observer.last_consumed == 1
 
     def test_observe_times_out_without_publish(self):
-        _, _, observer = sealed_pair()
+        _, _, observer = sealed_pair(timeout=0.1)
         with pytest.raises(ChannelTimeout):
-            observer.observe(timeout=0.1)
+            observer.observe()
 
     def test_publish_times_out_without_ack(self):
-        _, subject, _ = sealed_pair()
+        _, subject, _ = sealed_pair(timeout=0.1)
         subject.publish(1)
         with pytest.raises(ChannelTimeout):
-            subject.publish(2, timeout=0.1)
+            subject.publish(2)
 
     def test_publish_blocks_until_consumed(self):
-        _, subject, observer = sealed_pair()
+        _, subject, observer = sealed_pair(timeout=2.0)
         subject.publish(1)
         done = threading.Event()
 
@@ -126,7 +126,7 @@ class TestGating:
 
         t = threading.Thread(target=late_consumer)
         t.start()
-        subject.publish(2, timeout=2.0)  # must wait for the observe above
+        subject.publish(2)  # must wait for the observe above
         t.join()
         assert done.is_set()
         assert subject.generation == 2
@@ -147,7 +147,7 @@ class TestGating:
     @pytest.mark.parametrize("op", [
         lambda subject, observer: subject.publish(1),
         lambda subject, observer: subject.initialise_state(1),
-        lambda subject, observer: observer.observe(timeout=0.1),
+        lambda subject, observer: observer.observe(),
     ], ids=["publish", "initialise_state", "observe"])
     def test_traffic_before_seal_raises(self, op):
         reg = ChannelRegistry()
@@ -219,21 +219,21 @@ class TestSequenceTotality:
 
 class TestPoison:
     def test_observe_after_poison_raises_immediately(self):
-        reg, _, observer = sealed_pair()
+        reg, _, observer = sealed_pair(timeout=30.0)
         reg.poison()
         start = time.monotonic()
         with pytest.raises(ChannelPoisoned):
-            observer.observe(timeout=30.0)
+            observer.observe()
         assert time.monotonic() - start < 1.0
 
     def test_poison_releases_blocked_publish(self):
-        reg, subject, _ = sealed_pair()
+        reg, subject, _ = sealed_pair(timeout=30.0)
         subject.publish(1)
         result = {}
 
         def blocked_publish():
             try:
-                subject.publish(2, timeout=30.0)
+                subject.publish(2)
             except ChannelPoisoned:
                 result["released"] = time.monotonic()
 

@@ -230,6 +230,14 @@ COUNTER = {"name": "P", "io_map": {"x": "x"}, "init": "x = 1",
     ("study", {"step_timeout": -1}),
     ("study", {"max_steps": "3"}),
     ("study", {"max_steps": False}),
+    ("study", {"n_trials": "abc"}),
+    ("study", {"n_trials": True}),
+    ("study", {"n_trials": -1}),
+    ("study", {"n_trials": 2.5}),
+    ("study", {"seed": "7"}),
+    ("study", {"seed": False}),
+    ("study", {"parallelism": 0}),
+    ("study", {"parallelism": "2"}),
 ])
 def test_bad_step_bounds_in_definition_exit_two(root, tmp_path, capsys,
                                                 command, fields):
@@ -238,8 +246,23 @@ def test_bad_step_bounds_in_definition_exit_two(root, tmp_path, capsys,
         doc = {"components": [COUNTER], "max_steps": 3, **fields}
         path.write_text(json.dumps(doc))  # JSON is valid YAML
     else:
-        path = study_definition(tmp_path, n_trials=2, **fields)
+        path = study_definition(tmp_path, **{"n_trials": 2, **fields})
     assert run_cli(command, str(path), "--store-root", root) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--max-steps", "-5"]),
+    ("run", ["--max-steps", "3", "--step-timeout", "-1"]),
+    ("run", ["--max-steps", "3", "--step-timeout", "0"]),
+    ("run", ["--max-steps", "3", "--step-timeout", "nan"]),
+    ("study", ["--n-trials", "-3"]),
+    ("study", ["--parallelism", "0"]),
+])
+def test_bad_flags_exit_two(root, tmp_path, capsys, command, flags):
+    target = ("ToyExperimentPlain" if command == "run"
+              else study_definition(tmp_path, n_trials=2))
+    assert run_cli(command, target, *flags, "--store-root", root) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
 
 

@@ -5,6 +5,9 @@ has to be made here too, on purpose.
 """
 
 import argparse
+import inspect
+
+import pytest
 
 import gatedflow
 from gatedflow import cli
@@ -44,3 +47,17 @@ def test_cli_subcommands():
 def test_exit_codes():
     assert (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_TIMEOUT, cli.EXIT_RUNTIME,
             cli.EXIT_STORE) == (0, 2, 3, 4, 5)
+
+
+# Signatures that changed on purpose: the step timeout is fixed when a
+# collection is built, and each channel wait uses the timeout copied at seal.
+@pytest.mark.parametrize("fn, params", [
+    (gatedflow.ComponentCollection.run, "(self, max_steps=None)"),
+    (gatedflow.ComponentCollection.signal_stop, "(self)"),
+    (gatedflow.Subject.publish, "(self, value)"),
+    (gatedflow.Observer.observe, "(self)"),
+], ids=["run", "signal_stop", "publish", "observe"])
+def test_pinned_signatures(fn, params):
+    signature = inspect.signature(fn).replace(
+        return_annotation=inspect.Signature.empty)
+    assert str(signature) == params

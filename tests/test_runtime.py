@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
@@ -227,6 +228,71 @@ class TestSignalStop:
         # boundary race is bounded by one step per component
         for steps in report.steps.values():
             assert steps <= seen + 2
+
+    def test_stop_before_bind_releases_an_init_wait(self):
+        # A's init waits on x, which P publishes only in its steps
+        p = make_component("P", {"x": "x"}, step_body="x = 1")
+        a = make_component("A", {"x": "x", "y": "y"}, init_body="y = x")
+        collection = ComponentCollection([p, a], step_timeout=5.0)
+        collection.signal_stop()
+        collection.bind()
+        start = time.monotonic()
+        report = collection.run()
+        assert report.outcome == "stopped"
+        assert time.monotonic() - start < 1.5
+
+    def test_stop_with_every_worker_parked(self):
+        collection = toy_abc(step_timeout=5.0, with_init=False)
+        collection.bind()
+        timer = threading.Timer(0.2, collection.signal_stop)
+        start = time.monotonic()
+        timer.start()
+        report = collection.run()
+        elapsed = time.monotonic() - start
+        timer.join()
+        assert report.outcome == "stopped"
+        assert report.blocked_on == []
+        assert elapsed < 1.5  # well under step_timeout
+
+    def test_stopped_run_logs_a_prefix_of_the_oracle(self, registry, store):
+        run = open_run(store, "ToyExperimentPlain")
+        first_alpha = threading.Event()
+
+        class Tap:  # the store logger, and an event set by the first alpha
+            def proxy(self, name):
+                proxy = run.proxy(name)
+
+                def record(tag, value):
+                    proxy.record(tag, value)
+                    if tag == "alpha":
+                        first_alpha.set()
+                return SimpleNamespace(record=record)
+
+        collection = build_experiment(registry, "ToyExperimentPlain",
+                                      logger=Tap())
+
+        def stop_after_first_alpha():
+            first_alpha.wait(collection.step_timeout)
+            collection.signal_stop()
+
+        stopper = threading.Thread(target=stop_after_first_alpha)
+        stopper.start()
+        report = collection.run()
+        stopper.join()
+        run.close(outcome=report.outcome)
+        assert report.outcome == "stopped"
+        # a publish that lands just before the poison is logged, though its
+        # step is not counted: two more oracle steps cover it
+        oracle = oracle_run(build_experiment(registry, "ToyExperimentPlain")
+                            .components, max(report.steps.values()) + 2)
+        logged = query(store, run_ids=[run.run_id])
+        assert logged
+        for comp in collection.components:
+            for internal in comp.writes:
+                values = [r.value for r in logged
+                          if (r.component, r.tag) == (comp.name, internal)]
+                assert values == \
+                    oracle.sequences[comp.io_map[internal]][:len(values)]
 
 
 class TestOracleEquivalence:
