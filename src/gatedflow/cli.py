@@ -16,13 +16,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import definition as defs
 from .builtin import register_builtin
 from .errors import FlowError, PrimaryUnavailable, UnknownExperiment
 from .oracle import oracle_run
-from .registry import TypeRegistry, build_experiment, collect_hyperparameters
+from .registry import build_experiment, collect_hyperparameters
 from .store import DirectoryStore, merge_spool, open_run, query
 from .study import Study, best_trial, build_search_space, run_study
 from .viz import aggregate, export_csv, render_svg
@@ -34,56 +33,23 @@ EXIT_RUNTIME = 4
 EXIT_STORE = 5
 
 
-@dataclass
-class Flag:
-    name: str  # e.g. "--ComponentF.SubcomponentA.scaler"
-    kind: str
-    default: object
-    bounded: bool
-    bounds: tuple | None = None
-    choices: list | None = None
-    help: str = ""
-
-
-@dataclass
-class FlagSchema:
-    flags: list[Flag] = field(default_factory=list)
-
-
-def generate_flags(registry: TypeRegistry, experiment: str) -> FlagSchema:
-    """One typed flag per collected parameter; bounded flags validate range."""
-    schema = FlagSchema()
-    for name, desc in collect_hyperparameters(registry, experiment):
-        schema.flags.append(Flag(
-            name=f"--{name}",
-            kind=desc.kind,
-            default=desc.default,
-            bounded=desc.bounded,
-            bounds=desc.bounds,
-            choices=desc.choices,
-            help=f"{desc.kind} parameter"
-            + (f", bounds {desc.bounds}" if desc.bounds else ""),
-        ))
-    return schema
-
-
-def _flag_type(flag: Flag):
+def _flag_type(desc):
     def convert(text):
-        if flag.kind == "integer":
+        if desc.kind == "integer":
             value = int(text)
-        elif flag.kind == "real":
+        elif desc.kind == "real":
             value = float(text)
         else:
             value = text
-        if flag.bounds is not None:
-            low, high = flag.bounds
+        if desc.bounds is not None:
+            low, high = desc.bounds
             if not low <= value <= high:
                 raise argparse.ArgumentTypeError(
                     f"value {value} outside bounds ({low}, {high})"
                 )
-        if flag.choices is not None and value not in flag.choices:
+        if desc.choices is not None and value not in desc.choices:
             raise argparse.ArgumentTypeError(
-                f"value {value!r} not among choices {flag.choices}"
+                f"value {value!r} not among choices {desc.choices}"
             )
         return value
 
@@ -91,19 +57,14 @@ def _flag_type(flag: Flag):
 
 
 def _parse_experiment_args(registry, experiment, rest) -> dict:
-    """Parse the namespaced per-parameter flags into an exp_args mapping."""
-    schema = generate_flags(registry, experiment)
+    """Parse one typed flag per collected parameter, e.g.
+    ``--ComponentF.SubcomponentA.scaler``, into an exp_args mapping; bounded
+    flags validate their range."""
     parser = argparse.ArgumentParser(prog=f"run {experiment}", add_help=False)
-    for flag in schema.flags:
-        parser.add_argument(flag.name, type=_flag_type(flag), default=None,
-                            help=flag.help)
-    namespace = parser.parse_args(rest)
-    out = {}
-    for flag in schema.flags:
-        value = getattr(namespace, flag.name[2:])
-        if value is not None:
-            out[flag.name[2:]] = value
-    return out
+    for name, desc in collect_hyperparameters(registry, experiment):
+        parser.add_argument(f"--{name}", dest=name, type=_flag_type(desc))
+    namespace = vars(parser.parse_args(rest))
+    return {name: value for name, value in namespace.items() if value is not None}
 
 
 def _add_store_flags(parser):

@@ -15,8 +15,8 @@ or declare components inline:
         step: |
           temp = x * y
           z = temp
-      - type: ComponentC      # reuse a registered component type
-        name: C
+      - type: ComponentC      # reuse a registered component type whose
+        name: C                # bodies need no parameters or subcomponents
         io_map: {alpha: beta}  # treated as an io_map override
     max_steps: 3
 
@@ -125,6 +125,11 @@ def build_from_definition(registry: TypeRegistry, definition: ExperimentDefiniti
         type_name = entry.get("type")
         if type_name is not None:
             spec = registry.component(type_name)
+            if spec.make_bodies is not None or spec.slots:
+                raise DefinitionError(
+                    f"component type {type_name!r} builds its bodies from "
+                    f"parameters or subcomponents: use it through a "
+                    f"registered experiment")
             io_map = spec.io_map
             override = entry.get("io_map")
             init, step = spec.init, spec.step

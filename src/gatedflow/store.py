@@ -7,10 +7,12 @@ Layout (one directory tree per store root):
     <root>/studies/<study_id>/study.json
     <root>/studies/<study_id>/trials.ndjson
 
-Components log through a ProxyLogger whose record() call only enqueues; a
-dedicated writer thread commits in bulk chunks. When the primary store
-cannot be written, chunks divert to a local spool with the identical
-layout, to be merged back later with merge_spool().
+Components log through a ProxyLogger whose record() call appends to the
+run's one buffer; a writer thread commits the buffer in chunks. record()
+blocks only while chunk + QUEUE_CAPACITY records wait for the writer, and
+a dead writer's error is raised to producers blocked there too. When the
+primary store cannot be written, chunks divert to a local spool with the
+identical layout, to be merged back later with merge_spool().
 
 The .ndjson files are append-only logs with one writer each: chunks are
 appended in place and fsynced, all or nothing. Readers skip a torn last line,
@@ -23,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import queue
 import shutil
 import threading
 import time
@@ -35,8 +36,6 @@ from .errors import PrimaryUnavailable, RunClosed
 DEFAULT_CHUNK = 256
 DEFAULT_INTERVAL = 1.0
 QUEUE_CAPACITY = 65536
-
-_SENTINEL = object()
 
 
 @dataclass(frozen=True)
@@ -255,39 +254,46 @@ def merge_spool(primary: DirectoryStore, spool: DirectoryStore) -> MergeReport:
 
 
 class ProxyLogger:
-    """Per-component handle; record() stamps and enqueues, never waits for
-    durability (it only blocks on queue-full backpressure). Once the writer
-    thread has died, record() raises the writer's error."""
+    """Per-component handle; record() stamps a record and appends it to the
+    run's buffer, never waiting for durability. It blocks only while chunk +
+    QUEUE_CAPACITY records wait for the writer, and raises the writer's error
+    once that thread has died, also in a producer blocked there."""
 
     def __init__(self, run_logger: "RunLogger", component: str):
         self._run = run_logger
         self.component = component
 
     def record(self, tag: str, value):
-        self._run._enqueue(self.component, tag, value)
+        self._run._record(self.component, tag, value)
 
 
 class RunLogger:
-    """Owns the record queue and the writer thread for one run."""
+    """Owns the record buffer and the writer thread for one run.
+
+    One condition over a plain lock guards the buffer, the per-(component,
+    tag) step counters, _closed and _writer_error. The writer takes at most
+    one chunk at a time and writes it outside the lock; it takes a partial
+    chunk once `interval` has passed since its last take."""
 
     def __init__(self, store: DirectoryStore, meta: dict, spool=None,
-                 chunk: int = DEFAULT_CHUNK, interval: float = DEFAULT_INTERVAL,
-                 run_id: str | None = None):
+                 chunk: int = DEFAULT_CHUNK, interval: float = DEFAULT_INTERVAL):
+        if type(chunk) is not int or chunk < 1:
+            raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
         self.store = store
         self.spool = spool
-        self.run_id = run_id or new_run_id()
+        self.run_id = new_run_id()
         self.meta = dict(meta)
         self.chunk = chunk
         self.interval = interval
         self.failed_flushes = 0
         self.spooled_records = 0
-        self._writer_error = None
-        self._sentinel_taken = False
-        self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_CAPACITY)
+        self._limit = chunk + QUEUE_CAPACITY
+        self._cond = threading.Condition(threading.Lock())
+        self._buffer: list[MetricRecord] = []
         self._steps: dict[tuple[str, str], int] = {}
-        self._steps_lock = threading.Lock()
-        self._start = time.monotonic()
         self._closed = False
+        self._writer_error = None
+        self._start = time.monotonic()
         self._meta_written = False
         self._writer = threading.Thread(
             target=self._writer_loop, name=f"store-writer-{self.run_id}", daemon=True
@@ -297,19 +303,24 @@ class RunLogger:
     def proxy(self, component: str) -> ProxyLogger:
         return ProxyLogger(self, component)
 
-    def _enqueue(self, component: str, tag: str, value):
-        if self._closed:
-            raise RunClosed(f"run {self.run_id} is finalised")
-        if self._writer_error is not None:
-            raise self._writer_error
-        with self._steps_lock:
+    def _record(self, component: str, tag: str, value):
+        with self._cond:
+            while True:
+                if self._closed:
+                    raise RunClosed(f"run {self.run_id} is finalised")
+                if self._writer_error is not None:
+                    raise self._writer_error
+                if len(self._buffer) < self._limit:
+                    break
+                self._cond.wait()  # backpressure: the writer is behind
             step = self._steps.get((component, tag), 0)
             self._steps[(component, tag)] = step + 1
-        record = MetricRecord(
-            self.run_id, component, tag, step,
-            time.monotonic() - self._start, value,
-        )
-        self._queue.put(record)  # blocks only when the queue is full
+            self._buffer.append(MetricRecord(
+                self.run_id, component, tag, step,
+                time.monotonic() - self._start, value,
+            ))
+            if len(self._buffer) == self.chunk:
+                self._cond.notify()  # only the writer can be waiting here
 
     # -- writer context -----------------------------------------------------
 
@@ -326,37 +337,25 @@ class RunLogger:
             self.spooled_records += len(records)
 
     def _writer_loop(self):
-        try:
-            self._writer_body()
-        except Exception as exc:  # surfaced again by record() and close()
-            self._writer_error = exc
-            # until close()'s sentinel, keep emptying the queue so that no
-            # record() stays blocked on a queue the dead writer left full
-            while not self._sentinel_taken and self._queue.get() is not _SENTINEL:
-                pass
-
-    def _writer_body(self):
-        pending = []
-        last_flush = time.monotonic()
+        taken = time.monotonic()
         while True:
-            timeout = max(0.01, self.interval - (time.monotonic() - last_flush))
+            with self._cond:
+                self._cond.wait_for(  # the floor keeps interval 0 from spinning
+                    lambda: len(self._buffer) >= self.chunk or self._closed,
+                    max(0.01, self.interval - (time.monotonic() - taken)))
+                if self._closed and not self._buffer:
+                    return
+                records = self._buffer[:self.chunk]
+                del self._buffer[:self.chunk]
+                self._cond.notify_all()  # producers held by backpressure
+            taken = time.monotonic()
             try:
-                item = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                item = None
-            if item is _SENTINEL:
-                self._sentinel_taken = True
-                self._flush(pending)
+                self._flush(records)
+            except Exception as exc:  # raised again by record() and close()
+                with self._cond:
+                    self._writer_error = exc
+                    self._cond.notify_all()
                 return
-            if item is not None:
-                pending.append(item)
-            now = time.monotonic()
-            if len(pending) >= self.chunk or (
-                pending and now - last_flush >= self.interval
-            ):
-                chunk, pending = pending[: self.chunk], pending[self.chunk:]
-                self._flush(chunk)
-                last_flush = now
 
     def close(self, outcome: str = "completed"):
         """Flush residual records and finalise meta.json. Idempotent, except
@@ -368,8 +367,9 @@ class RunLogger:
                 self.meta["outcome"] = outcome
                 self._write_meta()
             return
-        self._closed = True
-        self._queue.put(_SENTINEL)
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
         self._writer.join()
         error = self._writer_error
         self.meta.setdefault("run_id", self.run_id)

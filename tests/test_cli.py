@@ -12,7 +12,7 @@ from gatedflow.cli import (
     EXIT_STORE,
     EXIT_TIMEOUT,
     EXIT_USAGE,
-    generate_flags,
+    _parse_experiment_args,
     main,
 )
 from gatedflow.store import DirectoryStore
@@ -39,24 +39,43 @@ STUCK_COMPONENTS = (
 
 
 class TestFlagGeneration:
+    SCALERS = {"--ComponentF.SubcomponentA.scaler": (0.1, 1.0),
+               "--ComponentF.SubcomponentB.scaler": (0.2, 0.5)}
+
     def test_toy_f_schema(self, registry):
-        schema = generate_flags(registry, "ToyExperimentF")
-        by_name = {f.name: f for f in schema.flags}
-        assert set(by_name) == {
-            "--ComponentF.SubcomponentA.scaler",
-            "--ComponentF.SubcomponentB.scaler",
-        }
-        a = by_name["--ComponentF.SubcomponentA.scaler"]
-        assert (a.kind, a.default, a.bounds, a.bounded) == \
-               ("real", 0.1, (0.1, 1.0), True)
-        b = by_name["--ComponentF.SubcomponentB.scaler"]
-        assert (b.default, b.bounds) == (0.2, (0.2, 0.5))
+        # one real-valued flag per scaler, accepting exactly its bounds
+        for flag, (low, high) in self.SCALERS.items():
+            for value in (low, high):
+                parsed = _parse_experiment_args(
+                    registry, "ToyExperimentF", [flag, str(value)])
+                assert parsed == {flag[2:]: value}
+                assert type(parsed[flag[2:]]) is float
+            for value in (low - 0.01, high + 0.01, "abc"):
+                with pytest.raises(SystemExit) as exc:
+                    _parse_experiment_args(registry, "ToyExperimentF",
+                                           [flag, str(value)])
+                assert exc.value.code == EXIT_USAGE
+        # and no other flag
+        assert _parse_experiment_args(registry, "ToyExperimentF", []) == {}
+        with pytest.raises(SystemExit):
+            _parse_experiment_args(registry, "ToyExperimentF",
+                                   ["--ProductObjective.target", "0.5"])
 
     def test_unbounded_parameter_gets_an_unvalidated_flag(self, registry):
-        schema = generate_flags(registry, "ToyStudy")
-        target = next(f for f in schema.flags
-                      if f.name == "--ProductObjective.target")
-        assert not target.bounded
+        for text in ("-2.5", "0", "1e9"):
+            parsed = _parse_experiment_args(
+                registry, "ToyStudy", ["--ProductObjective.target", text])
+            assert parsed == {"ProductObjective.target": float(text)}
+
+    def test_unset_flags_keep_the_descriptor_defaults(self, root, capsys):
+        # scalers 0.1 and 0.2 turn alpha 1 into beta 0.02
+        assert run_cli("run", "ToyStudy", "--store-root", root) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        store = DirectoryStore(root)
+        beta = [r.value for r in store.read_records(summary["run_id"])
+                if r.tag == "beta"]
+        assert beta == [pytest.approx(0.02)]
+        assert store.read_meta(summary["run_id"])["args"] == {}
 
 
 class TestRun:
@@ -249,6 +268,37 @@ def test_bad_step_bounds_in_definition_exit_two(root, tmp_path, capsys,
         path = study_definition(tmp_path, **{"n_trials": 2, **fields})
     assert run_cli(command, str(path), "--store-root", root) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+def test_typed_inline_entry_with_io_map_override(root, tmp_path, capsys):
+    path = tmp_path / "exp.yaml"
+    path.write_text(
+        "components:\n"
+        "  - {type: AlphaSource, name: S, io_map: {alpha: beta}}\n"
+        "  - {name: K, io_map: {beta: beta, gamma: gamma}, step: gamma = beta * 3}\n"
+        "max_steps: 1\n")
+    assert run_cli("run", str(path), "--store-root", root) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    records = DirectoryStore(root).read_records(summary["run_id"])
+    assert [(r.component, r.tag, r.value) for r in records
+            if r.tag == "gamma"] == [("K", "gamma", 3)]
+
+
+@pytest.mark.parametrize("type_name", [
+    "ProductObjective",  # bodies come from make_bodies
+    "ComponentF",  # its step calls subcomponent slots
+])
+def test_typed_inline_entry_needing_a_factory_exits_two(root, tmp_path, capsys,
+                                                         type_name):
+    path = tmp_path / "exp.yaml"
+    path.write_text(
+        "components:\n"
+        "  - {type: AlphaSource, name: S, io_map: {alpha: beta}}\n"
+        f"  - {{type: {type_name}, name: X}}\n"
+        "max_steps: 1\n")
+    assert run_cli("run", str(path), "--store-root", root) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert type_name in err and "registered experiment" in err
 
 
 @pytest.mark.parametrize("command, flags", [

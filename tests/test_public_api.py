@@ -50,13 +50,20 @@ def test_exit_codes():
 
 
 # Signatures that changed on purpose: the step timeout is fixed when a
-# collection is built, and each channel wait uses the timeout copied at seal.
+# collection is built, each channel wait uses the timeout copied at seal,
+# and a run logger always makes its own run id.
 @pytest.mark.parametrize("fn, params", [
     (gatedflow.ComponentCollection.run, "(self, max_steps=None)"),
     (gatedflow.ComponentCollection.signal_stop, "(self)"),
     (gatedflow.Subject.publish, "(self, value)"),
     (gatedflow.Observer.observe, "(self)"),
-], ids=["run", "signal_stop", "publish", "observe"])
+    (gatedflow.RunLogger.__init__,
+     "(self, store: 'DirectoryStore', meta: 'dict', spool=None, "
+     "chunk: 'int' = 256, interval: 'float' = 1.0)"),
+    (gatedflow.open_run,
+     "(store: 'DirectoryStore', experiment: 'str', seed=None, args=None, "
+     "spool=None, chunk=256, interval=1.0)"),
+], ids=["run", "signal_stop", "publish", "observe", "RunLogger", "open_run"])
 def test_pinned_signatures(fn, params):
     signature = inspect.signature(fn).replace(
         return_annotation=inspect.Signature.empty)

@@ -13,6 +13,7 @@ from gatedflow.errors import PrimaryUnavailable, RunClosed
 from gatedflow.store import (
     DirectoryStore,
     MetricRecord,
+    RunLogger,
     merge_spool,
     open_run,
     query,
@@ -244,6 +245,31 @@ class TestRunLogger:
         assert sizes.count(256) >= 2
         assert len(store.read_records(run.run_id)) == 1000
 
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5])
+    def test_chunk_must_be_a_positive_integer(self, store, chunk):
+        # chunk 0 would make the writer take empty chunks forever
+        with pytest.raises(ValueError, match="chunk"):
+            open_run(store, "Toy", chunk=chunk)
+
+    def test_zero_interval_polls_instead_of_spinning(self, store,
+                                                     monkeypatch):
+        takes = []
+        real = RunLogger._flush
+
+        def counting(self_, records):
+            takes.append(len(records))
+            return real(self_, records)
+
+        monkeypatch.setattr(RunLogger, "_flush", counting)
+        run = open_run(store, "Toy", interval=0.0)
+        proxy = run.proxy("A")
+        for i in range(3):
+            proxy.record("loss", float(i))
+        time.sleep(0.2)
+        run.close()
+        assert [r.step for r in store.read_records(run.run_id)] == [0, 1, 2]
+        assert len(takes) < 100  # about 20 at one take per 10 ms
+
 
 class TestSpoolFailover:
     def failing_primary(self, store, monkeypatch, fail_runs):
@@ -369,6 +395,76 @@ class TestWriterDeath:
         meta = store.read_meta(run.run_id)
         assert meta["outcome"] == "completed"
         assert meta["writer_error"] == "RuntimeError: encoder fault"
+
+
+class TestParkedWriter:
+    """The writer is held inside append_records on an Event, so these tests
+    need no timing ratios."""
+
+    def park(self, monkeypatch, fail=None):
+        entered, release = threading.Event(), threading.Event()
+        real = DirectoryStore.append_records
+
+        def parked(self_, run_id, records):
+            entered.set()
+            release.wait()
+            if fail is not None:
+                raise fail
+            return real(self_, run_id, records)
+
+        monkeypatch.setattr(DirectoryStore, "append_records", parked)
+        return entered, release
+
+    def test_record_does_not_wait_for_a_parked_writer(self, store,
+                                                      monkeypatch):
+        entered, release = self.park(monkeypatch)
+        run = open_run(store, "Toy")
+        proxy = run.proxy("A")
+        start = time.monotonic()
+        for i in range(1000):
+            proxy.record("loss", float(i))
+        elapsed = time.monotonic() - start
+        assert entered.wait(5.0)
+        release.set()
+        run.close()
+        assert elapsed < 1.0
+        steps = [r.step for r in store.read_records(run.run_id)]
+        assert steps == list(range(1000))
+
+    def test_blocked_producer_gets_the_writer_error(self, store,
+                                                    monkeypatch):
+        monkeypatch.setattr(gatedflow.store, "QUEUE_CAPACITY", 8)
+        error = RuntimeError("disk wedged")
+        entered, release = self.park(monkeypatch, fail=error)
+        run = open_run(store, "Toy", chunk=8, interval=60.0)
+        proxy = run.proxy("A")
+        done, raised = [], []
+
+        def produce():
+            try:
+                for i in range(100):
+                    proxy.record("loss", float(i))
+                    done.append(i)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        producer = threading.Thread(target=produce, daemon=True)
+        producer.start()
+        assert entered.wait(5.0)
+        # 8 records taken by the parked writer and 16 buffered: the 25th blocks
+        deadline = time.monotonic() + 5.0
+        while len(done) < 24 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.05)
+        assert len(done) == 24 and producer.is_alive()
+        release.set()
+        producer.join(1.0)
+        assert not producer.is_alive(), "blocked record() missed the error"
+        assert raised == [error]
+        with pytest.raises(RuntimeError, match="disk wedged"):
+            run.close()
+        assert store.read_meta(run.run_id)["writer_error"] == \
+            "RuntimeError: disk wedged"
 
 
 class TestMergeSpool:
