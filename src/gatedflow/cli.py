@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import definition as defs
@@ -56,6 +57,24 @@ def _flag_type(desc):
     return convert
 
 
+# argparse takes "-5" and "-2.5" as values but "-1e6" as an option
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
+def _attach_negative_values(rest) -> list:
+    """Join each negative number to the flag before it, ``--x -1e6`` to
+    ``--x=-1e6``: every parameter flag takes exactly one value."""
+    joined = []
+    for token in rest:
+        flag = joined[-1] if joined else ""
+        if (flag.startswith("--") and "=" not in flag
+                and _NEGATIVE_NUMBER.fullmatch(token)):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def _parse_experiment_args(registry, experiment, rest) -> dict:
     """Parse one typed flag per collected parameter, e.g.
     ``--ComponentF.SubcomponentA.scaler``, into an exp_args mapping; bounded
@@ -63,7 +82,7 @@ def _parse_experiment_args(registry, experiment, rest) -> dict:
     parser = argparse.ArgumentParser(prog=f"run {experiment}", add_help=False)
     for name, desc in collect_hyperparameters(registry, experiment):
         parser.add_argument(f"--{name}", dest=name, type=_flag_type(desc))
-    namespace = vars(parser.parse_args(rest))
+    namespace = vars(parser.parse_args(_attach_negative_values(rest)))
     return {name: value for name, value in namespace.items() if value is not None}
 
 

@@ -8,8 +8,11 @@ Components describe their per-step logic in a tiny assignment language:
 
 The parser builds an AST, ``extract_io`` infers which names are channel
 reads and writes by walking that AST against the component's io_map, and
-``evaluate`` runs one step. Everything here is pure and reentrant; the
-runtime owns all synchronisation.
+``evaluate`` runs one step. ``parse`` is memoised on the source text, so
+equal text gives one shared, frozen ``StepAST``. A body is compiled once per
+distinct source and IO sets into a plain Python function, which is kept on
+that AST; ``evaluate`` only calls it. Everything here is pure and reentrant;
+the runtime owns all synchronisation.
 
 Grammar (newline-separated statements):
 
@@ -22,6 +25,8 @@ Grammar (newline-separated statements):
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -85,6 +90,14 @@ Statement = Assign | CallAssign
 @dataclass(frozen=True)
 class StepAST:
     statements: tuple[Statement, ...]
+
+    def __post_init__(self):
+        # step functions compiled for this body, by (reads, writes); not part
+        # of the value, so equality, hashing and pickling ignore them
+        object.__setattr__(self, "_compiled", {})
+
+    def __reduce__(self):
+        return StepAST, (self.statements,)
 
     def __iter__(self):
         return iter(self.statements)
@@ -269,9 +282,18 @@ class _Parser:
         self.error("number, identifier or '('")
 
 
-def parse(source: str) -> StepAST:
-    """Parse a step/init program into its AST."""
+@functools.lru_cache(maxsize=1024)
+def _parse_text(source: str) -> StepAST:
     return _Parser(_tokenize(source)).parse_program()
+
+
+def parse(source: str) -> StepAST:
+    """Parse a step/init program into its AST.
+
+    Equal text gives the same frozen instance, and with it the step
+    functions compiled for it; a syntax error is raised on every call.
+    """
+    return _parse_text(source)
 
 
 # --- pretty printer --------------------------------------------------------
@@ -284,9 +306,18 @@ def _emit_operand(expr: Expr) -> str:
     return text
 
 
+def _literal(value) -> str:
+    # 1e999 is how an overflowing literal reads back as inf; nan has no text
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            raise ValueError("nan has no literal in the step language")
+        return "1e999" if value > 0 else "-1e999"
+    return repr(value)
+
+
 def to_source_expr(expr: Expr) -> str:
     if isinstance(expr, Num):
-        return repr(expr.value)
+        return _literal(expr.value)
     if isinstance(expr, Name):
         return expr.ident
     if isinstance(expr, Neg):
@@ -367,8 +398,6 @@ def validate(ast: StepAST, io_map, subcomponents=()) -> IOSets:
 
 # --- evaluation ------------------------------------------------------------
 
-_NUMERIC = (int, float)
-
 
 class EvalEnv:
     """Execution state for one step.
@@ -394,46 +423,161 @@ class EvalEnv:
         return self.inputs[name]
 
 
-def _require_number(value, op=None):
-    """``op`` is the binary operator using ``value``, or None for unary
-    minus; the error message is built only when the check fails."""
-    if isinstance(value, bool) or not isinstance(value, _NUMERIC):
+# --- compilation -----------------------------------------------------------
+#
+# ``evaluate`` runs one generated Python function per (body, reads, writes).
+# The function is straight-line code: every subexpression lands in its own
+# variable, so operands are fetched, checked and combined in the tree's
+# left-to-right order, and a statement that raises leaves the writes before
+# it emitted. DSL names never appear in the generated text: every value
+# lives in a variable ``t<i>`` and every literal, name and operator is a
+# global ``k<i>`` bound to the object itself, so no DSL name can clash with
+# Python and no literal goes through its text.
+
+
+def _not_a_number(value, op):
+    """The exact rule behind the generated ``type(v) is ...`` fast path:
+    ``bool`` is rejected and any ``int``/``float`` subclass passes. ``op``
+    is the binary operator using ``value``, or None for unary minus."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         context = "unary minus" if op is None else f"operator {op!r}"
         raise TypeMismatch(f"{context} requires a number, got {value!r}")
-    return value
 
 
-def _eval_expr(expr: Expr, env: EvalEnv, io_sets: IOSets):
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Name):
-        ident = expr.ident
-        if ident in env.locals:
-            return env.locals[ident]
-        if ident in io_sets.reads:
-            return env.lookup_input(ident)
-        raise MissingInput(f"unbound name {ident!r}")
-    if isinstance(expr, Neg):
-        return -_require_number(_eval_expr(expr.operand, env, io_sets))
-    if isinstance(expr, BinOp):
-        op = expr.op
-        left = _require_number(_eval_expr(expr.left, env, io_sets), op)
-        right = _require_number(_eval_expr(expr.right, env, io_sets), op)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if right == 0:
-            raise DivisionByZero(f"{left} / {right}")
-        return left / right
-    raise TypeError(f"not an expression node: {expr!r}")
+def _division_by_zero(left, right):
+    raise DivisionByZero(f"{left} / {right}")
+
+
+def _unbound(ident):
+    raise MissingInput(f"unbound name {ident!r}")
+
+
+def _callee(subcomponents, name):
+    try:
+        return subcomponents[name]
+    except KeyError:
+        raise UnknownCallee(f"no subcomponent bound for callee {name!r}") from None
+
+
+class _Codegen:
+    def __init__(self, reads, writes):
+        self.reads = reads
+        self.writes = writes
+        self.globals = {"_num": _not_a_number, "_div0": _division_by_zero,
+                        "_unbound": _unbound, "_callee": _callee}
+        self.lines = []
+        self.names = {}       # DSL name -> variable holding its value here
+        self.numbers = set()  # variables whose value passed the number check
+        self.count = 0
+
+    def fresh(self, prefix):
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def const(self, value):
+        var = self.fresh("k")
+        self.globals[var] = value
+        return var
+
+    def temp(self, code):
+        var = self.fresh("t")
+        self.lines.append(f"{var} = {code}")
+        return var
+
+    def name(self, ident):
+        var = self.names.get(ident)
+        if var is None:
+            # first use; a name the caller put in env.locals is read there
+            key = self.const(ident)
+            source = f"lookup({key})" if ident in self.reads else f"_unbound({key})"
+            var = self.names[ident] = self.temp(
+                f"locals_[{key}] if {key} in locals_ else {source}")
+        return var
+
+    def number(self, var, op):
+        if var not in self.numbers:
+            self.numbers.add(var)
+            self.lines.append(
+                f"if type({var}) is not float and type({var}) is not int: "
+                f"_num({var}, {self.const(op)})")
+
+    def expr(self, node):
+        if isinstance(node, Num):
+            var = self.const(node.value)
+            if type(node.value) in (int, float):
+                self.numbers.add(var)
+            return var
+        if isinstance(node, Name):
+            return self.name(node.ident)
+        if isinstance(node, Neg):
+            operand = self.expr(node.operand)
+            self.number(operand, None)
+            return self.temp(f"-{operand}")
+        if isinstance(node, BinOp):
+            left = self.expr(node.left)
+            self.number(left, node.op)
+            right = self.expr(node.right)
+            self.number(right, node.op)
+            if node.op in ("+", "-", "*"):
+                return self.temp(f"{left} {node.op} {right}")
+            self.lines.append(f"if {right} == 0: _div0({left}, {right})")
+            return self.temp(f"{left} / {right}")
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def statement(self, stmt):
+        if isinstance(stmt, CallAssign):
+            fn = self.temp(f"_callee(env.subcomponents, {self.const(stmt.callee)})")
+            args = [self.expr(arg) for arg in stmt.args]
+            value = self.temp(f"{fn}({', '.join(args)})")
+        else:
+            value = self.expr(stmt.expr)
+        key = self.const(stmt.target)
+        if stmt.target in self.writes:
+            self.lines.append(f"emit(({key}, {value}))")
+            self.lines.append(f"if on_write is not None: on_write({key}, {value})")
+        else:
+            var = self.names[stmt.target] = self.temp(f"locals_[{key}] = {value}")
+            if value in self.numbers:
+                self.numbers.add(var)
+
+    def source(self):
+        return "\n".join([
+            "def step(env):",
+            "    lookup = env.lookup_input",
+            "    locals_ = env.locals",
+            "    emit = env.emitted_writes.append",
+            "    on_write = env._on_write",
+            *("    " + line for line in self.lines),
+        ]) + "\n"
+
+
+def _compile(ast: StepAST, reads, writes):
+    """Generate and compile the step function of ``ast``; uncached."""
+    gen = _Codegen(reads, writes)
+    for stmt in ast:
+        gen.statement(stmt)
+    exec(compile(gen.source(), "<gatedflow.dsl step>", "exec"), gen.globals)
+    return gen.globals["step"]
+
+
+def compile_body(ast: StepAST, io_sets: IOSets):
+    """The step function of ``ast`` under ``io_sets``, compiled on first use.
+
+    Functions are kept on the AST instance, keyed by the read and write sets,
+    so a body parsed from equal text (``parse`` shares the instance) compiles
+    once per distinct IO sets.
+    """
+    key = (frozenset(io_sets.reads), frozenset(io_sets.writes))
+    fn = ast._compiled.get(key)
+    if fn is None:
+        fn = ast._compiled[key] = _compile(ast, *key)
+    return fn
 
 
 def evaluate(ast: StepAST, env: EvalEnv, io_sets: IOSets | None = None,
              io_map=None) -> EvalEnv:
-    """Run one step body. Statements execute in program order.
+    """Run one step body through its compiled function (``compile_body``).
+    Statements execute in program order.
 
     Integer arithmetic is exact, reals are IEEE doubles, mixed operands
     promote to real, and division always yields a real.
@@ -442,22 +586,5 @@ def evaluate(ast: StepAST, env: EvalEnv, io_sets: IOSets | None = None,
         if io_map is None:
             raise ValueError("evaluate needs io_sets or io_map")
         io_sets = extract_io(ast, io_map)
-    for stmt in ast:
-        if isinstance(stmt, CallAssign):
-            try:
-                fn = env.subcomponents[stmt.callee]
-            except KeyError:
-                raise UnknownCallee(
-                    f"no subcomponent bound for callee {stmt.callee!r}"
-                ) from None
-            args = [_eval_expr(a, env, io_sets) for a in stmt.args]
-            value = fn(*args)
-        else:
-            value = _eval_expr(stmt.expr, env, io_sets)
-        if stmt.target in io_sets.writes:
-            env.emitted_writes.append((stmt.target, value))
-            if env._on_write is not None:
-                env._on_write(stmt.target, value)
-        else:
-            env.locals[stmt.target] = value
+    compile_body(ast, io_sets)(env)
     return env

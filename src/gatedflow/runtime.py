@@ -51,6 +51,10 @@ class NativeBody:
 
 class ScriptBody:
     """Parsed step script, its inferred IO sets and its subcomponents.
+
+    The script is compiled here, on the thread that builds the component,
+    and only once per distinct source and IO sets: ``dsl.parse`` returns one
+    shared AST for equal text, and the compiled function is kept on it.
     ``run`` evaluates the script once through ``dsl.evaluate``."""
 
     def __init__(self, source: str, io_map, subcomponents=None):
@@ -60,6 +64,7 @@ class ScriptBody:
         self.io_sets = dsl.validate(self.ast, io_map, self.subcomponents)
         self.reads = self.io_sets.reads
         self.writes = self.io_sets.writes
+        dsl.compile_body(self.ast, self.io_sets)
 
     def run(self, fetch, emit, record):
         env = dsl.EvalEnv(subcomponents=self.subcomponents, fetch=fetch,

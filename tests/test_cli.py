@@ -67,6 +67,24 @@ class TestFlagGeneration:
                 registry, "ToyStudy", ["--ProductObjective.target", text])
             assert parsed == {"ProductObjective.target": float(text)}
 
+    def test_negative_values_in_exponent_form(self, registry):
+        for text in ("-1e6", "-2.5E-3", "-1.e+2", "-.5e1"):
+            parsed = _parse_experiment_args(
+                registry, "ToyStudy", ["--ProductObjective.target", text])
+            assert parsed == {"ProductObjective.target": float(text)}
+
+    def test_run_takes_a_negative_value_in_exponent_form(self, root, capsys):
+        code = run_cli("run", "ToyStudy", "--ProductObjective.target", "-1e6",
+                       "--store-root", root)
+        assert code == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        meta = DirectoryStore(root).read_meta(summary["run_id"])
+        assert meta["args"] == {"ProductObjective.target": -1e6}
+        for extra in (["--No.such.flag", "-1e6"],
+                      ["--ProductObjective.target", "-1e6", "-2e6"]):
+            assert run_cli("run", "ToyStudy", *extra,
+                           "--store-root", root) == EXIT_USAGE
+
     def test_unset_flags_keep_the_descriptor_defaults(self, root, capsys):
         # scalers 0.1 and 0.2 turn alpha 1 into beta 0.02
         assert run_cli("run", "ToyStudy", "--store-root", root) == EXIT_OK

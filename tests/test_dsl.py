@@ -1,5 +1,7 @@
 """Step-script parsing, IO extraction, and evaluation."""
 
+import math
+import pickle
 import random
 
 import pytest
@@ -135,6 +137,17 @@ class TestRoundTrip:
             ast = parse(source)
             assert to_source(ast) == source
             assert parse(to_source(ast)) == ast
+
+    def test_overflowing_literal_round_trips(self):
+        ast = parse("x = 1e999\n")
+        assert ast.statements[0].expr == Num(math.inf)
+        assert to_source(ast) == "x = 1e999\n"
+        assert parse(to_source(ast)) == ast
+
+    def test_nan_literal_has_no_source(self):
+        # no parse gives nan, so there is no text to print for it
+        with pytest.raises(ValueError):
+            to_source(StepAST((Assign("x", Num(math.nan)),)))
 
 
 class TestExtractIO:
@@ -342,3 +355,154 @@ class TestArithmeticConformance:
             for _ in range(5)
         }
         assert len(results) == 1
+
+
+class _Real(float):
+    """A float subclass: the number rule accepts it like a float."""
+
+
+class TestCompiledSemantics:
+    """What the compiled step function keeps of the language: the order of
+    fetches, checks and writes, the number rule, the message of each error,
+    run-time callee lookup, and names that are Python words."""
+
+    IO = {"x": "x", "y": "y", "z": "z", "w": "w"}
+    SOURCES = ["z = -x", "z = x + y", "z = y + x", "z = x - y", "z = y - x",
+               "z = x * y", "z = y * x", "z = x / y", "z = y / x"]
+
+    def run(self, source, **inputs):
+        env = EvalEnv(inputs=inputs)
+        evaluate(parse(source), env, io_map=self.IO)
+        return env.emitted_writes
+
+    @pytest.mark.parametrize("source, zero, message", [
+        ("z = x / y", 0, "3 / 0"),
+        ("z = x / y", -0.0, "3 / -0.0"),
+        ("z = x / 0", None, "3 / 0"),
+        ("z = x / (y - y)", 2.5, "3 / 0.0"),
+        ("z = x / -y", 0.0, "3 / -0.0"),
+    ])
+    def test_division_by_zero(self, source, zero, message):
+        with pytest.raises(DivisionByZero) as err:
+            self.run(source, x=3, y=zero)
+        assert str(err.value) == message
+
+    def test_left_operand_mismatch_raises_before_the_right_fetch(self):
+        for source in ("z = x * y", "z = -x + y", "z = (x + 1) / y"):
+            fetched = []
+
+            def fetch(name):
+                fetched.append(name)
+                return {"x": "text", "y": 2}[name]
+
+            with pytest.raises(TypeMismatch):
+                evaluate(parse(source), EvalEnv(fetch=fetch), io_map=self.IO)
+            assert fetched == ["x"], source
+
+    def test_reads_are_fetched_at_first_use_left_to_right(self):
+        fetched = []
+
+        def fetch(name):
+            fetched.append(name)
+            return 2
+
+        env = evaluate(parse("w = y * 2\nz = x + y + x"), EvalEnv(fetch=fetch),
+                       io_map=self.IO)
+        assert fetched == ["y", "x"]
+        assert env.emitted_writes == [("w", 4), ("z", 6)]
+
+    def test_writes_before_a_failing_statement_are_emitted(self):
+        seen = []
+        env = EvalEnv(inputs={"x": 3, "y": 0},
+                      on_write=lambda name, value: seen.append((name, value)))
+        with pytest.raises(DivisionByZero):
+            evaluate(parse("z = x + 1\nt = x / y\nw = t"), env, io_map=self.IO)
+        assert seen == [("z", 4)]
+        assert env.emitted_writes == [("z", 4)]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_float_subclass_is_a_number(self, source):
+        self.check_accepted(source, _Real(1.5))
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_numpy_float64_is_a_number(self, source):
+        numpy = pytest.importorskip("numpy")
+        self.check_accepted(source, numpy.float64(1.5))
+
+    def check_accepted(self, source, x):
+        # the DSL expression is also a Python expression
+        expected = eval(source.split("=", 1)[1], {"x": x, "y": 2})
+        [(name, got)] = self.run(source, x=x, y=2)
+        assert got == expected
+        assert type(got) is type(expected)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_bool_is_not_a_number(self, source):
+        with pytest.raises(TypeMismatch) as err:
+            self.run(source, x=True, y=2)
+        context = ("unary minus" if source == "z = -x"
+                   else f"operator {source.split()[3]!r}")
+        assert str(err.value) == f"{context} requires a number, got True"
+
+    def test_callee_is_looked_up_when_the_statement_runs(self):
+        ast = parse("w = x + 1\nz = scale(x)")
+        seen = []
+        with pytest.raises(UnknownCallee):
+            evaluate(ast, EvalEnv(inputs={"x": 4}, on_write=lambda *w: seen.append(w)),
+                     io_map=self.IO)
+        assert seen == [("w", 5)]
+        env = evaluate(ast, EvalEnv(inputs={"x": 4},
+                                    subcomponents={"scale": lambda v: v * 0.5}),
+                       io_map=self.IO)
+        assert env.emitted_writes == [("w", 5), ("z", 2.0)]
+
+    def test_names_that_are_python_words_or_compiler_names(self):
+        io_map = {name: name for name in (
+            "class", "int", "type", "float", "lookup", "env",
+            "step", "emit", "on_write", "_div0", "print")}
+        source = (
+            "None = class + int\n"
+            "_num = None * type - float\n"
+            "k1 = _num / lookup\n"
+            "t1 = -k1 + env\n"
+            "locals_ = t1 * None\n"
+            "step = locals_\n"
+            "_callee = _unbound(t1, class)\n"
+            "emit = _callee - k1\n"
+            "on_write = None + t1\n"
+            "_div0 = int / 3\n"
+            "print = print(int)\n"
+        )
+        inputs = {"class": 2, "int": 3.5, "type": 4, "float": 0.25,
+                  "lookup": 8, "env": 1}
+        subcomponents = {"_unbound": lambda a, b: a * b,
+                         "print": lambda v: v + 1}
+        ast = parse(source)
+        sets = extract_io(ast, io_map)
+        assert sets.writes == {"step", "emit", "on_write", "_div0", "print"}
+
+        values, expected = dict(inputs), []
+        for stmt in ast:
+            if isinstance(stmt, CallAssign):
+                args = [eval_tree(arg, values) for arg in stmt.args]
+                value = subcomponents[stmt.callee](*args)
+            else:
+                value = eval_tree(stmt.expr, values)
+            values[stmt.target] = value
+            if stmt.target in sets.writes:
+                expected.append((stmt.target, value))
+
+        env = evaluate(ast, EvalEnv(inputs=inputs, subcomponents=subcomponents),
+                       io_sets=sets)
+        assert env.emitted_writes == expected
+        assert env.locals == {name: values[name] for name in sets.locals}
+
+    def test_equal_text_parses_to_one_shared_ast(self):
+        source = "z = x * 2.75\n"
+        assert parse(source) is parse(source)
+        assert parse(source) is not parse("z = x * 2.5\n")
+
+    def test_a_compiled_ast_still_pickles(self):
+        ast = parse("z = x * 2\n")
+        self.run("z = x * 2\n", x=1)
+        assert pickle.loads(pickle.dumps(ast)) == ast

@@ -17,10 +17,12 @@ from gatedflow import (
     make_component,
     oracle_run,
 )
+from gatedflow import dsl
 from gatedflow.errors import (
     BadOverride,
     DuplicateSubject,
     IncompleteGraph,
+    ScriptSyntaxError,
     UnknownInternalName,
 )
 from gatedflow.store import open_run, query
@@ -112,6 +114,58 @@ class TestMakeComponent:
     def test_body_referencing_unknown_name(self):
         with pytest.raises(UnknownInternalName):
             make_component("A", {"z": "z"}, step_body="z = w + 1")
+
+
+class TestCompileOnce:
+    """A script body is compiled when its component is built, on the
+    building thread, once per distinct source and IO sets, and never while a
+    collection runs."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """The threads that compiled a body, one entry per compilation."""
+        dsl._parse_text.cache_clear()
+        threads = []
+        compile_one = dsl._compile
+
+        def counting(*args):
+            threads.append(threading.current_thread())
+            return compile_one(*args)
+
+        monkeypatch.setattr(dsl, "_compile", counting)
+        return threads
+
+    def test_equal_sources_share_one_compiled_function(self, compiles):
+        first = make_component("C", C_IO, init_body=C_INIT, step_body=C_STEP)
+        assert len(compiles) == 2  # the init body and the step body
+        second = make_component("C", C_IO, init_body=C_INIT, step_body=C_STEP,
+                                io_map_override={"alpha": "beta"})
+        assert len(compiles) == 2
+        assert second.step_body.ast is first.step_body.ast
+        assert (dsl.compile_body(second.step_body.ast, second.step_body.io_sets)
+                is dsl.compile_body(first.step_body.ast, first.step_body.io_sets))
+
+    def test_other_io_sets_compile_their_own_function(self, compiles):
+        reads_x = make_component("A", {"x": "x", "z": "z"}, step_body="z = x\n")
+        x_is_local = make_component("A", {"z": "z"}, step_body="x = 1\nz = x\n")
+        assert reads_x.reads == {"x"} and x_is_local.reads == set()
+        assert len(compiles) == 2
+
+    def test_compiled_at_construction_not_during_run(self, compiles):
+        collection = toy_abc()
+        assert len(compiles) == 4  # A, B and C's step bodies and C's init
+        assert set(compiles) == {threading.current_thread()}
+        collection.bind()
+        assert collection.run(max_steps=5).outcome == "completed"
+        oracle_run(toy_abc().components, 5)
+        assert len(compiles) == 4
+
+    def test_syntax_error_is_raised_at_every_construction(self, compiles):
+        for _ in range(3):
+            with pytest.raises(ScriptSyntaxError):
+                make_component("A", {"z": "z"}, step_body="z = * 2\n")
+        assert dsl._parse_text.cache_info().currsize == 0
+        assert compiles == []
 
 
 class TestBind:
