@@ -408,8 +408,8 @@ class EvalEnv:
     """
 
     def __init__(self, inputs=None, subcomponents=None, fetch=None, on_write=None):
-        self.inputs = dict(inputs or {})
-        self.subcomponents = dict(subcomponents or {})
+        self.inputs = dict(inputs) if inputs else {}
+        self.subcomponents = dict(subcomponents) if subcomponents else {}
         self.locals: dict[str, object] = {}
         self.emitted_writes: list[tuple[str, object]] = []
         self._fetch = fetch

@@ -61,14 +61,17 @@ class ScriptBody:
         self.source = source
         self.ast = dsl.parse(source)
         self.subcomponents = subcomponents or {}
-        self.io_sets = dsl.validate(self.ast, io_map, self.subcomponents)
+        io_sets = dsl.validate(self.ast, io_map, self.subcomponents)
+        # frozen, so compile_body's key is built from them without copying
+        self.io_sets = dsl.IOSets(*map(frozenset, (
+            io_sets.reads, io_sets.writes, io_sets.locals)))
         self.reads = self.io_sets.reads
         self.writes = self.io_sets.writes
         dsl.compile_body(self.ast, self.io_sets)
 
     def run(self, fetch, emit, record):
-        env = dsl.EvalEnv(subcomponents=self.subcomponents, fetch=fetch,
-                          on_write=emit)
+        env = dsl.EvalEnv(None, None, fetch, emit)  # positional: cheaper
+        env.subcomponents = self.subcomponents  # this body's own: no copy
         dsl.evaluate(self.ast, env, io_sets=self.io_sets)
 
 

@@ -18,6 +18,12 @@ The .ndjson files are append-only logs with one writer each: chunks are
 appended in place and fsynced, all or nothing. Readers skip a torn last line,
 the next append cuts it off, and a reader during an append sees whole lines
 from a prefix of that chunk. meta.json and study.json are replaced atomically.
+
+Every metrics line is written by one encoder, _lines, whose bytes are those
+of json.dumps of the line's dict with separators (",", ":"). It encodes each
+(component, tag) head once per chunk, and query() tests a line's head before
+it decodes the line: a line that starts with {"c": is taken to be written by
+_lines.
 """
 
 from __future__ import annotations
@@ -52,16 +58,58 @@ class MetricRecord:
         return (self.run_id, self.component, self.tag, self.step)
 
     def to_line(self) -> str:
-        return json.dumps(
-            {"c": self.component, "t": self.tag, "s": self.step,
-             "w": self.wall_time, "v": self.value},
-            separators=(",", ":"),
-        )
+        return _lines((self,))[:-1]
 
     @classmethod
     def from_line(cls, run_id: str, line: str) -> "MetricRecord":
         obj = json.loads(line)
         return cls(run_id, obj["c"], obj["t"], obj["s"], obj["w"], obj["v"])
+
+
+# -- the line encoder --------------------------------------------------------
+#
+# json.dumps builds a new JSONEncoder per call, so the common scalar types are
+# encoded directly and the rest go through one shared encoder.
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _json(value) -> str:
+    """JSON text of one value, as json.dumps writes it."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int or (kind is float and -_INF < value < _INF):
+        return repr(value)
+    return _encode(value)  # bool, NaN, ±inf, subclasses, None, containers
+
+
+def _component_head(component) -> str:
+    return '{"c":' + _json(component) + ',"t":'
+
+
+def _head(component, tag) -> str:
+    """The text every line of this (component, tag) starts with."""
+    return _component_head(component) + _json(tag) + ',"s":'
+
+
+def _lines(records) -> str:
+    """NDJSON text of records, one line each, with each head encoded once."""
+    heads = {}
+    out = []
+    for r in records:
+        component, tag = r.component, r.tag
+        if type(component) is str and type(tag) is str:
+            head = heads.get((component, tag))
+            if head is None:
+                head = heads[component, tag] = _head(component, tag)
+        else:  # equal keys of other types (1, 1.0, True) encode differently
+            head = _head(component, tag)
+        out.append(f'{head}{_json(r.step)},"w":{_json(r.wall_time)},'
+                   f'"v":{_json(r.value)}}}\n')
+    return "".join(out)
 
 
 def new_run_id() -> str:
@@ -102,13 +150,15 @@ def _append(path: str, text: str):
             raise
 
 
-def _read_lines(path: str) -> list[str]:
-    """Whole, non-blank lines; a torn last line (no newline) is skipped."""
+def _read_lines(path: str):
+    """Yield whole, non-blank lines; a torn last line (no newline) is skipped."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return [line for line in fh if line.endswith("\n") and line.strip()]
+            for line in fh:
+                if line.endswith("\n") and line.strip():
+                    yield line
     except FileNotFoundError:
-        return []
+        pass
 
 
 class DirectoryStore:
@@ -131,8 +181,7 @@ class DirectoryStore:
     def append_records(self, run_id: str, records):
         """Append a chunk in place and fsync it, all or nothing, after cutting
         off a torn last line; a concurrent reader sees only whole lines."""
-        _append(self._metrics_path(run_id),
-                "".join(r.to_line() + "\n" for r in records))
+        _append(self._metrics_path(run_id), _lines(records))
 
     def write_meta(self, run_id: str, meta: dict):
         os.makedirs(self.run_dir(run_id), exist_ok=True)
@@ -201,6 +250,12 @@ def query(store: DirectoryStore, run_ids=None, experiment=None, component=None,
     if not os.path.isdir(store.root):
         raise PrimaryUnavailable(store.root)
     runs = list(run_ids) if run_ids is not None else store.list_runs()
+    # a line that _lines wrote starts with the head of its record; records
+    # with a matching head are still decoded and compared below
+    head = None
+    if type(component) is str:
+        head = (_head(component, tag) if type(tag) is str
+                else _component_head(component))
     out = []
     for run_id in runs:
         if experiment is not None:
@@ -210,7 +265,11 @@ def query(store: DirectoryStore, run_ids=None, experiment=None, component=None,
                 continue
             if meta.get("experiment") != experiment:
                 continue
-        for rec in store.read_records(run_id):
+        for line in _read_lines(store._metrics_path(run_id)):
+            if (head is not None and not line.startswith(head)
+                    and line.startswith('{"c":')):
+                continue  # written by _lines for another component or tag
+            rec = MetricRecord.from_line(run_id, line)
             if component is not None and rec.component != component:
                 continue
             if tag is not None and rec.tag != tag:

@@ -286,6 +286,17 @@ class TestEvaluate:
         )
         assert env.emitted_writes == [("beta", 1.0)]
 
+    def test_env_copies_the_callers_dicts(self):
+        inputs, subcomponents = {"alpha": 4}, {"scale": lambda v: v * 0.5}
+        env = EvalEnv(inputs=inputs, subcomponents=subcomponents,
+                      fetch=lambda name: 2)
+        subcomponents["scale"] = None
+        evaluate(parse("mid = scale(alpha)\nbeta = mid + gamma"), env,
+                 io_map={"alpha": "alpha", "gamma": "gamma", "beta": "beta"})
+        assert env.emitted_writes == [("beta", 4.0)]
+        assert env.inputs == {"alpha": 4, "gamma": 2}
+        assert inputs == {"alpha": 4}
+
     def test_division_always_yields_real(self):
         env = evaluate(
             parse("z = x / 2"),

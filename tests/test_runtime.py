@@ -160,6 +160,29 @@ class TestCompileOnce:
         oracle_run(toy_abc().components, 5)
         assert len(compiles) == 4
 
+    def test_a_run_calls_evaluate_once_with_the_bodys_subcomponents(
+            self, compiles, monkeypatch):
+        scale = {"scale": lambda v: v * 2}
+        comp = make_component("A", {"x": "x", "z": "z"},
+                              step_body="z = scale(x)\n", subcomponents=scale)
+        scale["scale"] = None  # the component keeps its own copy
+        calls = []
+        evaluate = dsl.evaluate
+
+        def counting(ast, env, **kwargs):
+            calls.append(env)
+            return evaluate(ast, env, **kwargs)
+
+        monkeypatch.setattr(dsl, "evaluate", counting)
+        writes = []
+        for x in (1, 2):
+            comp.step_body.run({"x": x}.__getitem__,
+                               lambda *w: writes.append(w), None)
+        assert writes == [("z", 2), ("z", 4)]
+        assert len(calls) == 2 and calls[0] is not calls[1]
+        assert calls[0].subcomponents is comp.step_body.subcomponents
+        assert len(compiles) == 1
+
     def test_syntax_error_is_raised_at_every_construction(self, compiles):
         for _ in range(3):
             with pytest.raises(ScriptSyntaxError):

@@ -1,7 +1,10 @@
 """Persistence layer: NDJSON store, buffered writer, spool failover."""
 
+import enum
 import json
+import math
 import os
+import random
 import threading
 import time
 
@@ -14,6 +17,7 @@ from gatedflow.store import (
     DirectoryStore,
     MetricRecord,
     RunLogger,
+    _lines,
     merge_spool,
     open_run,
     query,
@@ -83,6 +87,101 @@ class TestDirectoryStore:
         records = store.read_records("r1")
         assert len(records) == 500
         assert all(r.step == i for i, r in enumerate(records))
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Real(float):
+    pass
+
+
+class Text(str):
+    pass
+
+
+# characters that JSON escapes, or writes as \uXXXX, next to plain ones
+NAME_CHARS = ['a', 'Z', '0', ' ', '/', '"', '\\', '\x00', '\n', '\x1f', '\x7f',
+              'é', 'ß', '中', '😀', '\ud800', '\udbff', '\udc00', '\udfff']
+
+
+def random_name(rng):
+    name = "".join(rng.choice(NAME_CHARS) for _ in range(rng.randint(0, 5)))
+    return Text(name) if rng.random() < 0.1 else name
+
+
+def random_number(rng):
+    return rng.choice([
+        rng.randint(-10**6, 10**6), rng.uniform(-1e6, 1e6), rng.random(),
+        True, False, Level.HIGH, Real(rng.random()), math.nan, math.inf,
+        -math.inf, -0.0, 0.0, 2**64 + rng.randint(0, 10**9),
+        -(2**100) - rng.randint(0, 10**9), 1e-310, 1e308,
+    ])
+
+
+def random_value(rng, depth=0):
+    pick = rng.randrange(5 if depth < 2 else 3)
+    if pick == 0:
+        return random_number(rng)
+    if pick == 1:
+        return random_name(rng)
+    if pick == 2:
+        return None
+    if pick == 3:
+        return [random_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {random_name(rng): random_value(rng, depth + 1)
+            for _ in range(rng.randint(0, 3))}
+
+
+def dumps_line(rec):
+    """The line as json.dumps writes it: the encoder's reference."""
+    return json.dumps({"c": rec.component, "t": rec.tag, "s": rec.step,
+                       "w": rec.wall_time, "v": rec.value}, separators=(",", ":"))
+
+
+class TestLineEncoder:
+    """Every metrics line is byte-identical to json.dumps of its record."""
+
+    def random_records(self, rng, n):
+        pairs = [(random_name(rng), random_name(rng)) for _ in range(4)]
+        return [MetricRecord("r1", *rng.choice(pairs), random_number(rng),
+                             random_number(rng), random_value(rng))
+                for _ in range(n)]
+
+    def test_lines_match_json_dumps(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            chunk = self.random_records(rng, rng.randint(1, 20))
+            expected = [dumps_line(r) for r in chunk]
+            assert [r.to_line() for r in chunk] == expected
+            # heads are shared across interleaved (component, tag) pairs
+            assert _lines(chunk) == "".join(line + "\n" for line in expected)
+
+    def test_lines_round_trip_through_from_line(self):
+        rng = random.Random(7)
+        for rec in self.random_records(rng, 500):
+            line = rec.to_line()
+            assert MetricRecord.from_line("r1", line).to_line() == line
+        plain = MetricRecord("r1", 'q"\\é', "\x01t", 2**70, -0.0, [1, 2.5, None])
+        assert MetricRecord.from_line("r1", plain.to_line()) == plain
+
+    def test_equal_names_of_other_types_keep_their_own_encoding(self):
+        chunk = [MetricRecord("r1", c, "t", 0, 0.0, 0) for c in (1, 1.0, True, "1")]
+        assert _lines(chunk) == "".join(dumps_line(r) + "\n" for r in chunk)
+
+    @pytest.mark.parametrize("field", ["component", "tag", "step", "value"])
+    def test_unserialisable_value_raises_the_same_type_error(self, field):
+        fields = {"run_id": "r1", "component": "A", "tag": "t", "step": 0,
+                  "wall_time": 0.0, "value": 1.0, field: object()}
+        rec = MetricRecord(**fields)
+        with pytest.raises(TypeError) as expected:
+            dumps_line(rec)
+        for encode in (rec.to_line, lambda: _lines([rec])):
+            with pytest.raises(TypeError) as got:
+                encode()
+            assert str(got.value) == str(expected.value)
 
 
 class TestTornTail:
@@ -159,6 +258,31 @@ class TestQuery:
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(PrimaryUnavailable):
             query(DirectoryStore(tmp_path / "nowhere"))
+
+    def test_head_filter_selects_what_decoding_selects(self, store):
+        rng = random.Random(424)
+        pairs = [(random_name(rng), random_name(rng)) for _ in range(8)]
+        records = [MetricRecord("r1", *rng.choice(pairs), step, 0.0,
+                                random_value(rng)) for step in range(400)]
+        store.append_records("r1", records)
+        # lines that do not start with {"c": are decoded and compared
+        with open(store._metrics_path("r1"), "a", encoding="utf-8") as fh:
+            for step, (c, t) in enumerate(pairs[:4], start=1000):
+                fh.write(json.dumps({"t": t, "s": step, "c": c, "w": 0.0,
+                                     "v": step}) + "\n")
+                fh.write(" " + json.dumps({"c": c, "t": t, "s": step + 100,
+                                           "w": 0.0, "v": step}) + "\n")
+        stored = store.read_records("r1")
+        names = [name for pair in pairs for name in pair]
+        names += ["", "\ud83d\ude00", "😀", "a", 1]
+        for _ in range(300):
+            component = rng.choice(names)
+            tag = rng.choice(names + [None])
+            expected = sorted(
+                (r for r in stored if r.component == component
+                 and (tag is None or r.tag == tag)), key=lambda r: r.key)
+            got = query(store, component=component, tag=tag)
+            assert [r.to_line() for r in got] == [r.to_line() for r in expected]
 
 
 class TestRunLogger:
