@@ -12,6 +12,10 @@ two wait sets, one for its observers and one for its producer (see Subject).
 
 Sealing wires the handles: each Subject gets its observer count and timeout,
 each Observer its Subject. No handle refers back to the registry.
+
+An op that has to wait marks its own handle with its name (``_waiting``) and
+takes its deadline only then. A wait that gets its value clears the mark; a
+timeout or poison leaves it set. ``ChannelRegistry.blocked()`` reads the marks.
 """
 
 from __future__ import annotations
@@ -119,6 +123,13 @@ class ChannelRegistry:
 
     # -- execution phase ----------------------------------------------------
 
+    def blocked(self) -> list[tuple[str, str, str]]:
+        """Sorted (owner, namespace, op) of each handle that is waiting, or
+        whose last wait ended in a timeout or poison."""
+        handles = [*self._subjects.values(), *self._observers.values()]
+        return sorted(((h.owner, h.namespace, h._waiting) for h in handles
+                       if h._waiting), key=lambda e: (str(e[0]), *e[1:]))
+
     def poison(self):
         """Release every blocked context, now and forever. Idempotent."""
         self.poisoned = True
@@ -147,6 +158,7 @@ class Subject:
         self._fanout = None   # observer count; None until sealed
         self._timeout = None  # default wait, copied from the registry at seal
         self._poisoned = False
+        self._waiting = None  # "publish" while publish waits; see the module doc
         self._lock = threading.RLock()
         self._readable = threading.Condition(self._lock)
         self._writable = threading.Condition(self._lock)
@@ -169,18 +181,18 @@ class Subject:
         """Store the next generation, waiting for all consumers to catch up."""
         check_value(value)
         self._require_sealed()
-        timeout = self._timeout
-        deadline = time.monotonic() + timeout
         with self._lock:
-            while True:
+            if self._unacked or self._poisoned:
+                self._waiting = "publish"
+                deadline = time.monotonic() + self._timeout
+                while self._unacked and not self._poisoned:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise ChannelTimeout(self.namespace, "publish", self._timeout)
+                    self._writable.wait(remaining)
                 if self._poisoned:
                     raise ChannelPoisoned(self.namespace)
-                if not self._unacked:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ChannelTimeout(self.namespace, "publish", timeout)
-                self._writable.wait(remaining)
+                self._waiting = None
             self._store(value)
 
     def initialise_state(self, value):
@@ -206,6 +218,7 @@ class Observer:
         self.owner = owner
         self.last_consumed = 0
         self._subject: Subject | None = None  # set at seal
+        self._waiting = None  # "observe" while observe waits; see the module doc
 
     def observe(self):
         """Block until a generation newer than last_consumed exists, return it."""
@@ -214,18 +227,18 @@ class Observer:
             raise RegistryNotSealed(
                 f"channel traffic on {self.namespace!r} before seal"
             )
-        timeout = subject._timeout
-        deadline = time.monotonic() + timeout
         with subject._lock:
-            while True:
+            if subject.generation == self.last_consumed or subject._poisoned:
+                self._waiting = "observe"
+                deadline = time.monotonic() + subject._timeout
+                while subject.generation == self.last_consumed and not subject._poisoned:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise ChannelTimeout(self.namespace, "observe", subject._timeout)
+                    subject._readable.wait(remaining)
                 if subject._poisoned:
                     raise ChannelPoisoned(self.namespace)
-                if subject.generation > self.last_consumed:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ChannelTimeout(self.namespace, "observe", timeout)
-                subject._readable.wait(remaining)
+                self._waiting = None
             self.last_consumed = subject.generation
             subject._unacked -= 1
             if not subject._unacked:

@@ -6,7 +6,9 @@ per write name and one Observer per read name. A ComponentCollection
 registers every component's handles in one ChannelRegistry, whose seal wires
 them and fixes the step timeout; it runs one thread per component and joins
 them. Every way a run ends early (a channel timeout, a body error, a stop
-request) poisons the registry, which releases every blocked channel op.
+request) poisons the registry, which releases every blocked channel op. The
+first failure decides the report; a timeout's lists the waits that the
+channel handles marked themselves (``ChannelRegistry.blocked()``).
 
 Script and native bodies share one protocol, ``reads``/``writes`` sets and
 ``run(fetch, emit, record)``; the worker threads bind it to channel
@@ -216,38 +218,28 @@ class ComponentCollection:
             self.registry.poison()
 
         steps = {c.name: 0 for c in self.components}
-        # name -> (namespace, op) while blocked in a channel op, else None.
-        # Each entry is written only by its component's own thread.
-        pending: dict[str, tuple[str, str] | None] = dict.fromkeys(steps)
-        fail = SimpleNamespace(timeout=False, error=None, blocked=[])
-        fail_lock = threading.Lock()
+        failure = {}  # "first": (outcome, blocked_on, error)
 
-        def snapshot_blocked():
-            return sorted(
-                (name, *entry) for name, entry in list(pending.items()) if entry
-            )
+        def fail(outcome, error=None):
+            # the marks are read before this poison; setdefault keeps the first
+            blocked = self.registry.blocked() if error is None else []
+            failure.setdefault("first", (outcome, blocked, error))
+            self.registry.poison()
 
         def worker(comp: Component):
             name = comp.name
             record = comp.logger.record if comp.logger is not None else discard
+            observers, subjects = comp.observers, comp.subjects
 
-            # a channel op that raises leaves its entry for finally to clear
             def fetch(internal):
-                observer = comp.observers[internal]
-                pending[name] = (observer.namespace, "observe")
-                value = observer.observe()
-                pending[name] = None
-                return value
+                return observers[internal].observe()
 
             def publish(internal, value):
-                subject = comp.subjects[internal]
-                pending[name] = (subject.namespace, "publish")
-                subject.publish(value)
-                pending[name] = None
+                subjects[internal].publish(value)
                 record(internal, value)
 
             def initialise(internal, value):
-                comp.subjects[internal].initialise_state(value)
+                subjects[internal].initialise_state(value)
                 record(internal, value)
 
             try:
@@ -263,26 +255,10 @@ class ComponentCollection:
                     steps[name] += 1
             except ChannelPoisoned:
                 pass
-            except ChannelTimeout as exc:
-                # the snapshot holds this component's own entry, unless
-                # another thread took it before this component blocked
-                me = (name, exc.namespace, exc.op)
-                with fail_lock:
-                    if fail.error is None:
-                        if not fail.timeout:
-                            fail.timeout = True
-                            fail.blocked = snapshot_blocked()
-                        if me not in fail.blocked:
-                            fail.blocked.append(me)
-                            fail.blocked.sort()
-                self.registry.poison()
+            except ChannelTimeout:
+                fail("timeout")
             except Exception as exc:  # body errors fail the whole collection fast
-                with fail_lock:
-                    if fail.error is None and not fail.timeout:
-                        fail.error = exc
-                self.registry.poison()
-            finally:
-                pending[name] = None
+                fail("error", exc)
 
         threads = [
             threading.Thread(target=worker, args=(c,), name=f"component-{c.name}",
@@ -295,10 +271,9 @@ class ComponentCollection:
         for t in threads:
             t.join()
 
-        if fail.error is not None:
-            return RunReport("error", steps, error=fail.error)
-        if fail.timeout:
-            return RunReport("timeout", steps, blocked_on=fail.blocked)
+        if failure:
+            outcome, blocked, error = failure["first"]
+            return RunReport(outcome, steps, blocked, error)
         if self._stop.is_set():
             return RunReport("stopped", steps)
         return RunReport("completed", steps)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import operator
 import os
 import shutil
 import threading
@@ -42,6 +43,9 @@ from .errors import PrimaryUnavailable, RunClosed
 DEFAULT_CHUNK = 256
 DEFAULT_INTERVAL = 1.0
 QUEUE_CAPACITY = 65536
+
+#: the order of query's results: MetricRecord.key, without the property call
+RECORD_ORDER = operator.attrgetter("run_id", "component", "tag", "step")
 
 
 @dataclass(frozen=True)
@@ -279,7 +283,7 @@ def query(store: DirectoryStore, run_ids=None, experiment=None, component=None,
                 if not low <= rec.step <= high:
                     continue
             out.append(rec)
-    out.sort(key=lambda r: r.key)
+    out.sort(key=RECORD_ORDER)
     return out
 
 
@@ -290,14 +294,17 @@ class MergeReport:
 
 
 def merge_spool(primary: DirectoryStore, spool: DirectoryStore) -> MergeReport:
-    """Move spooled records into the primary, deduplicated by record key."""
+    """Move spooled records into the primary, deduplicated by record key; the
+    primary's lines stream past the spooled keys, so memory follows the spool."""
     if not os.path.isdir(primary.root):
         raise PrimaryUnavailable(primary.root)
     report = MergeReport()
     for run_id in spool.list_runs():
         spooled = spool.read_records(run_id)
-        existing = {r.key for r in primary.read_records(run_id)}
-        fresh = [r for r in spooled if r.key not in existing]
+        missing = {r.key for r in spooled}
+        for line in _read_lines(primary._metrics_path(run_id)):
+            missing.discard(MetricRecord.from_line(run_id, line).key)
+        fresh = [r for r in spooled if r.key in missing]
         report.skipped += len(spooled) - len(fresh)
         if fresh:
             primary.append_records(run_id, fresh)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NoCompleteTrials, StudyAborted
 from .registry import build_experiment, collect_hyperparameters
-from .store import DirectoryStore, open_run, query
+from .store import RECORD_ORDER, DirectoryStore, open_run, query
 
 EXPLORE_PROBABILITY = 0.2
 NOISE_SCALE = 0.1
@@ -231,7 +231,10 @@ def run_study(study: Study, registry, store: DirectoryStore, n_trials: int,
             run.close(outcome=report.outcome)
             if report.outcome not in ("completed", "stopped"):
                 raise RuntimeError(f"run ended with outcome {report.outcome}")
-            records = query(store, run_ids=[run.run_id], tag=study.objective_tag)
+            where = {"run_ids": [run.run_id], "tag": study.objective_tag}
+            records = query(store, **where)
+            if run.spooled_records:  # the chunks the primary refused
+                records = sorted(records + query(spool, **where), key=RECORD_ORDER)
             if not records:
                 raise RuntimeError(
                     f"run produced no records for tag {study.objective_tag!r}"

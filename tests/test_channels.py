@@ -1,5 +1,6 @@
 """Channel-layer semantics: pseudo-singletons, gating, timeout, poison."""
 
+import sys
 import threading
 import time
 
@@ -174,6 +175,96 @@ class TestGating:
         for i in range(10):
             subject.publish(i)
         assert subject.generation == 10
+
+
+def wait_until(predicate, limit=5.0):
+    deadline = time.monotonic() + limit
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestWaitMark:
+    """A handle marks its own wait; ``blocked()`` reads the marks."""
+
+    def test_fast_ops_leave_no_mark(self):
+        reg, subject, observer = sealed_pair()
+        subject.initialise_state(0)
+        for i in range(1, 4):
+            assert observer.observe() == i - 1
+            subject.publish(i)
+        assert reg.blocked() == []
+
+    def test_lists_a_waiting_observer_until_the_value_arrives(self):
+        reg, subject, observer = sealed_pair(timeout=5.0)
+        got = []
+        t = threading.Thread(target=lambda: got.append(observer.observe()))
+        t.start()
+        wait_until(lambda: reg.blocked() == [("A", "x", "observe")])
+        subject.publish(7)
+        t.join(timeout=5.0)
+        assert got == [7]
+        assert reg.blocked() == []
+
+    def test_lists_a_producer_blocked_on_an_unacked_generation(self):
+        reg, subject, observer = sealed_pair(timeout=5.0)
+        subject.publish(1)
+        t = threading.Thread(target=subject.publish, args=(2,))
+        t.start()
+        wait_until(lambda: reg.blocked() == [("P", "x", "publish")])
+        assert observer.observe() == 1
+        t.join(timeout=5.0)
+        assert subject.generation == 2
+        assert reg.blocked() == []
+
+    def test_a_timed_out_op_stays_listed(self):
+        reg, subject, observer = sealed_pair(timeout=0.1)
+        with pytest.raises(ChannelTimeout):
+            observer.observe()
+        assert reg.blocked() == [("A", "x", "observe")]
+        subject.publish(1)
+        with pytest.raises(ChannelTimeout):
+            subject.publish(2)
+        assert reg.blocked() == [("A", "x", "observe"), ("P", "x", "publish")]
+
+    def test_every_mark_clears_under_contention(self):
+        reg = ChannelRegistry(default_timeout=5.0)
+        subject = reg.create_subject("x", owner="P")
+        observers = [reg.acquire_observer("x", f"C{i}") for i in range(8)]
+        reg.seal_and_bind()
+        everyone = [(o.owner, "x", "observe") for o in observers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often to expose races
+        try:
+            for value in range(30):
+                got = []
+                threads = [threading.Thread(target=lambda o=o: got.append(o.observe()))
+                           for o in observers]
+                for t in threads:
+                    t.start()
+                wait_until(lambda: reg.blocked() == everyone)
+                subject.publish(value)
+                for t in threads:
+                    t.join(timeout=5.0)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [value] * 8
+                assert reg.blocked() == []
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_sorted_by_owner_then_namespace_with_unowned_subjects(self):
+        reg = ChannelRegistry(default_timeout=0.05)
+        unowned = reg.create_subject("u")
+        owned = reg.create_subject("o", owner="B")
+        for ns in ("u", "o"):
+            reg.acquire_observer(ns, "A")
+        reg.seal_and_bind()
+        for subject in (unowned, owned):
+            subject.publish(1)
+            with pytest.raises(ChannelTimeout):
+                subject.publish(2)
+        assert reg.blocked() == [
+            ("B", "o", "publish"), (None, "u", "publish")]
 
 
 class TestSequenceTotality:

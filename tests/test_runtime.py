@@ -256,6 +256,30 @@ class TestRun:
         }
         assert elapsed < 0.3 + 1.0
 
+    def test_a_component_busy_in_its_body_is_not_named(self):
+        # Q publishes y twice, then sleeps in its third body past the
+        # timeout; P (y -> x) and A (reads x) time out waiting for it
+        calls = []
+
+        def q_body(inputs, ctx):
+            calls.append(None)
+            if len(calls) == 3:
+                time.sleep(1.0)
+            return {"y": len(calls)}
+
+        io = {"x": "x", "y": "y"}
+        q = make_component("Q", io, step_body=NativeBody(q_body, writes={"y"}))
+        p = make_component("P", io, step_body=NativeBody(
+            lambda inputs, ctx: {"x": inputs["y"]}, reads={"y"}, writes={"x"}))
+        a = make_component("A", io, step_body=NativeBody(
+            lambda inputs, ctx: None, reads={"x"}))
+        collection = ComponentCollection([q, p, a], step_timeout=0.3)
+        collection.bind()
+        report = collection.run()
+        assert report.outcome == "timeout"
+        assert report.steps == {"Q": 2, "P": 2, "A": 2}
+        assert report.blocked_on == [("A", "x", "observe"), ("P", "y", "observe")]
+
     def test_body_error_poisons_collection(self):
         a = make_component("A", {"x": "x", "z": "z"}, step_body="z = 1 / x\n")
         c = make_component("C", {"x": "x", "z": "z"},

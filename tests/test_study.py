@@ -239,6 +239,33 @@ class TestRunStudy:
             assert meta["outcome"] == "failed"
             assert meta["writer_error"] == "RuntimeError: encoder fault"
 
+    def test_study_survives_a_failing_primary_with_a_spool(
+            self, registry, store, spool, monkeypatch):
+        from gatedflow.store import DirectoryStore, merge_spool, query
+        from gatedflow.study import REDUCERS
+        real = DirectoryStore.append_records
+
+        def primary_down(self_, run_id, records):
+            if self_.root == store.root:
+                raise OSError("disk unavailable")
+            return real(self_, run_id, records)
+
+        monkeypatch.setattr(DirectoryStore, "append_records", primary_down)
+        study = self.make_study(registry)
+        run_study(study, registry, store, n_trials=4, spool=spool)
+        assert [t.state for t in study.trials] == ["complete"] * 4
+        for trial in study.trials:
+            meta = store.read_meta(trial.run_id)
+            assert meta["outcome"] == "completed"
+            assert meta["spooled_records"] > 0
+        monkeypatch.setattr(DirectoryStore, "append_records", real)
+        merge_spool(store, spool)
+        reduce = REDUCERS[study.reduce]
+        for trial in study.trials:
+            records = query(store, run_ids=[trial.run_id],
+                            tag=study.objective_tag)
+            assert trial.objective == float(reduce([r.value for r in records]))
+
     def test_zero_trials_is_a_no_op(self, registry, store):
         study = self.make_study(registry)
         run_study(study, registry, store, n_trials=0)
