@@ -118,6 +118,8 @@ class ChannelRegistry:
             owners = sorted(consumers.get(ns, []))
             subject._timeout = self.default_timeout
             subject._fanout = len(owners)
+            if self.poisoned:  # a poison that came before this subject existed
+                subject._poisoned = True
             report.entries.append(BindEntry(ns, subject.owner, owners))
         return report
 
@@ -133,7 +135,7 @@ class ChannelRegistry:
     def poison(self):
         """Release every blocked context, now and forever. Idempotent."""
         self.poisoned = True
-        for subject in self._subjects.values():
+        for subject in list(self._subjects.values()):  # bind may be adding
             with subject._lock:
                 subject._poisoned = True
                 subject._readable.notify_all()

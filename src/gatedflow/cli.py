@@ -158,9 +158,6 @@ def cmd_run(args, rest) -> int:
 
 
 def cmd_study(args, rest) -> int:
-    if rest:
-        print(f"unrecognised arguments: {' '.join(rest)}", file=sys.stderr)
-        return EXIT_USAGE
     registry = register_builtin()
     study_def = defs.load_study_definition(args.definition)
     n_trials = args.n_trials if args.n_trials is not None else study_def.n_trials

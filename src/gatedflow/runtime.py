@@ -1,14 +1,15 @@
 """Components, collections, and the concurrent gated execution loop.
 
-A Component owns a step body (script or native), an io_map translating its
-internal names to external channel namespaces, and, after bind, one Subject
-per write name and one Observer per read name. A ComponentCollection
-registers every component's handles in one ChannelRegistry, whose seal wires
-them and fixes the step timeout; it runs one thread per component and joins
-them. Every way a run ends early (a channel timeout, a body error, a stop
-request) poisons the registry, which releases every blocked channel op. The
-first failure decides the report; a timeout's lists the waits that the
-channel handles marked themselves (``ChannelRegistry.blocked()``).
+A Component is a spec (bodies, script or native, and an io_map from its
+internal names to channel namespaces) with no run state, so the oracle and
+several collections may share it. A ComponentCollection owns its run: its one
+``bind()`` registers the handles in its ChannelRegistry, whose seal wires
+them and fixes the step timeout, and ``run()`` runs one thread per component.
+Poison is the one stop signal: every early end (a channel timeout, a body
+error, a stop, even before bind) poisons the registry, releasing every
+channel wait and stopping each component at its next step; one with no step
+body ends after its init with 0 steps. The first failure decides the report;
+a timeout's lists the waits the handles marked (``ChannelRegistry.blocked()``).
 
 Script and native bodies share one protocol, ``reads``/``writes`` sets and
 ``run(fetch, emit, record)``; the worker threads bind it to channel
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 from . import dsl
 from .channels import DEFAULT_TIMEOUT, ChannelRegistry, BindReport
-from .errors import BadOverride, ChannelPoisoned, ChannelTimeout
+from .errors import BadOverride, ChannelPoisoned, ChannelTimeout, RegistrySealed
 
 
 def discard(tag, value):
@@ -99,9 +100,6 @@ class Component:
             if body is not None:
                 self.reads.update(body.reads)
                 self.writes.update(body.writes)
-        self.observers = {}  # internal read name -> Observer
-        self.subjects = {}   # internal write name -> Subject
-        self.logger = None   # ProxyLogger, attached by the collection
 
     @property
     def step_source(self):
@@ -166,8 +164,10 @@ class ComponentCollection:
     ``step_timeout`` (``None`` means ``channels.DEFAULT_TIMEOUT``) bounds
     each channel wait; it is fixed here, and bind copies it into the channels.
 
-    ``signal_stop()`` poisons the bound registry, so every worker leaves at
-    its next step boundary or channel op; a step cut short is not counted.
+    ``signal_stop()`` poisons the registry, the one stop signal, so every
+    component leaves at its next step or channel op; a step cut short is not
+    counted. A component with no step body ends after its init with 0 steps.
+    ``bind()`` runs once; the components stay specs that others may share.
     """
 
     def __init__(self, components, step_timeout: float | None = None,
@@ -178,58 +178,56 @@ class ComponentCollection:
         self.components = list(components)
         self.step_timeout = DEFAULT_TIMEOUT if step_timeout is None else step_timeout
         self.logger = logger
-        self.registry: ChannelRegistry | None = None
+        self.registry = ChannelRegistry(default_timeout=self.step_timeout)
         self.bind_report: BindReport | None = None
-        self._stop = threading.Event()
+        self._bound = None  # per component: (component, observers, subjects, record)
         self._ran = False
 
     # -- graph construction -------------------------------------------------
 
     def bind(self) -> BindReport:
-        registry = ChannelRegistry(default_timeout=self.step_timeout)
+        registry = self.registry
+        if self._bound is not None:  # also after a bind that raised
+            raise RegistrySealed("a collection binds once")
+        self._bound = []
         for comp in self.components:
+            observers, subjects = {}, {}
             for internal in sorted(comp.writes):
-                comp.subjects[internal] = registry.create_subject(
+                subjects[internal] = registry.create_subject(
                     comp.io_map[internal], owner=comp.name)
             for internal in sorted(comp.reads):
-                comp.observers[internal] = registry.acquire_observer(
-                    comp.io_map[internal], comp.name
-                )
-            if self.logger is not None:
-                comp.logger = self.logger.proxy(comp.name)
+                observers[internal] = registry.acquire_observer(
+                    comp.io_map[internal], comp.name)
+            record = (self.logger.proxy(comp.name).record
+                      if self.logger is not None else discard)
+            self._bound.append((comp, observers, subjects, record))
         self.bind_report = registry.seal_and_bind()
-        self.registry = registry
         return self.bind_report
 
     # -- execution ----------------------------------------------------------
 
     def signal_stop(self):
-        self._stop.set()
-        if self.registry is not None:
-            self.registry.poison()
+        self.registry.poison()
 
     def run(self, max_steps=None) -> RunReport:
-        if self.registry is None:
+        registry = self.registry
+        if not registry.sealed:
             raise RuntimeError("bind() must succeed before run()")
         if self._ran:
             raise RuntimeError("a ComponentCollection is not reusable after run()")
         self._ran = True
-        if self._stop.is_set():  # signal_stop() came before bind() made a registry
-            self.registry.poison()
 
         steps = {c.name: 0 for c in self.components}
         failure = {}  # "first": (outcome, blocked_on, error)
 
         def fail(outcome, error=None):
             # the marks are read before this poison; setdefault keeps the first
-            blocked = self.registry.blocked() if error is None else []
+            blocked = registry.blocked() if error is None else []
             failure.setdefault("first", (outcome, blocked, error))
-            self.registry.poison()
+            registry.poison()
 
-        def worker(comp: Component):
+        def worker(comp: Component, observers, subjects, record):
             name = comp.name
-            record = comp.logger.record if comp.logger is not None else discard
-            observers, subjects = comp.observers, comp.subjects
 
             def fetch(internal):
                 return observers[internal].observe()
@@ -245,13 +243,14 @@ class ComponentCollection:
             try:
                 if comp.init_body is not None:
                     comp.init_body.run(fetch, initialise, record)
-                limit = comp.max_steps if comp.max_steps is not None else max_steps
                 body = comp.step_body
-                while not self._stop.is_set():
+                if body is None:
+                    return
+                limit = comp.max_steps if comp.max_steps is not None else max_steps
+                while not registry.poisoned:
                     if limit is not None and steps[name] >= limit:
                         break
-                    if body is not None:
-                        body.run(fetch, publish, record)
+                    body.run(fetch, publish, record)
                     steps[name] += 1
             except ChannelPoisoned:
                 pass
@@ -261,9 +260,9 @@ class ComponentCollection:
                 fail("error", exc)
 
         threads = [
-            threading.Thread(target=worker, args=(c,), name=f"component-{c.name}",
-                             daemon=True)
-            for c in self.components
+            threading.Thread(target=worker, args=bound,
+                             name=f"component-{bound[0].name}", daemon=True)
+            for bound in self._bound
         ]
         for t in threads:
             t.start()
@@ -274,6 +273,6 @@ class ComponentCollection:
         if failure:
             outcome, blocked, error = failure["first"]
             return RunReport(outcome, steps, blocked, error)
-        if self._stop.is_set():
+        if registry.poisoned:
             return RunReport("stopped", steps)
         return RunReport("completed", steps)

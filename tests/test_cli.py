@@ -248,6 +248,12 @@ class TestStudy:
         assert run_cli("study", "/nonexistent.yaml",
                        "--store-root", root) in (EXIT_USAGE, EXIT_STORE)
 
+    def test_unknown_flag_exits_two(self, root, tmp_path, capsys):
+        path = study_definition(tmp_path, n_trials=2)
+        assert run_cli("study", path, "--bogus", "--store-root", root) == EXIT_USAGE
+        assert "unrecognised arguments: --bogus" in capsys.readouterr().err
+        assert DirectoryStore(root).list_studies() == []
+
 
 COUNTER = {"name": "P", "io_map": {"x": "x"}, "init": "x = 1",
            "step": "x = x + 1"}

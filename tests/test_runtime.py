@@ -22,6 +22,7 @@ from gatedflow.errors import (
     BadOverride,
     DuplicateSubject,
     IncompleteGraph,
+    RegistrySealed,
     ScriptSyntaxError,
     UnknownInternalName,
 )
@@ -78,11 +79,24 @@ def native_feeds_scripts():
     ]
 
 
+def init_only_source():
+    """A source with no step body, read once by a one-step script consumer."""
+    return [
+        make_component("S", {"s": "s"}, init_body="s = 3"),
+        make_component("U", {"s": "s", "u": "u"}, step_body="u = s * 2",
+                       max_steps=1),
+    ]
+
+
+LOCAL_GRAPHS = {"native_feeds_scripts": native_feeds_scripts,
+                "init_only_source": init_only_source}
+
+
 def bound_graph(name, registry, logger=None):
-    """A registered experiment, or the native-and-script graph above."""
-    if name != "native_feeds_scripts":
+    """A registered experiment, or one of the LOCAL_GRAPHS above."""
+    if name not in LOCAL_GRAPHS:
         return build_experiment(registry, name, logger=logger)
-    collection = ComponentCollection(native_feeds_scripts(), logger=logger)
+    collection = ComponentCollection(LOCAL_GRAPHS[name](), logger=logger)
     collection.bind()
     return collection
 
@@ -219,6 +233,8 @@ class TestBind:
         with pytest.raises(IncompleteGraph) as err:
             collection.bind()
         assert err.value.namespaces == ["x", "y"]
+        with pytest.raises(RegistrySealed):  # bind runs once, even after it raised
+            collection.bind()
 
 
 class TestRun:
@@ -290,6 +306,23 @@ class TestRun:
         assert report.outcome == "error"
         assert "0" in str(report.error)
 
+    def test_a_failure_stops_a_component_with_no_channel_op(self):
+        def fault(inputs, ctx):
+            raise ValueError("body fault")
+
+        idle = make_component("I", {}, step_body=NativeBody(lambda inputs, ctx: None))
+        faulty = make_component("F", {}, step_body=NativeBody(fault))
+        collection = ComponentCollection([idle, faulty], step_timeout=0.5)
+        collection.bind()
+        reports = []
+        runner = threading.Thread(
+            target=lambda: reports.append(collection.run()), daemon=True)
+        runner.start()
+        runner.join(collection.step_timeout + 1)
+        assert not runner.is_alive()
+        assert reports[0].outcome == "error"
+        assert "body fault" in str(reports[0].error)
+
     def test_collection_not_reusable(self):
         collection = toy_abc()
         collection.bind()
@@ -355,6 +388,22 @@ class TestSignalStop:
         assert report.blocked_on == []
         assert elapsed < 1.5  # well under step_timeout
 
+    def test_a_second_collection_leaves_the_first_its_channels(self):
+        first = toy_abc(step_timeout=2.0, with_init=False)
+        second = ComponentCollection(first.components, step_timeout=2.0)
+        first.bind()
+        second.bind()
+        timer = threading.Timer(0.2, first.signal_stop)
+        start = time.monotonic()
+        timer.start()
+        report = first.run()
+        elapsed = time.monotonic() - start
+        timer.join()
+        assert report.outcome == "stopped"
+        assert elapsed < 1.5
+        with pytest.raises(RegistrySealed):  # a collection binds once
+            first.bind()
+
     def test_stopped_run_logs_a_prefix_of_the_oracle(self, registry, store):
         run = open_run(store, "ToyExperimentPlain")
         first_alpha = threading.Event()
@@ -398,7 +447,8 @@ class TestSignalStop:
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("graph", ["ToyExperimentPlain", "ToyExperimentF",
-                                       "native_feeds_scripts"])
+                                       "native_feeds_scripts",
+                                       "init_only_source"])
     def test_named_graph(self, registry, store, graph):
         run = open_run(store, graph)
         collection = bound_graph(graph, registry, logger=run)
@@ -406,6 +456,7 @@ class TestOracleEquivalence:
         run.close()
         assert report.outcome == "completed"
         oracle = oracle_run(bound_graph(graph, registry).components, 10)
+        assert report.steps == oracle.steps
         logged = query(store, run_ids=[run.run_id])
         for comp in collection.components:  # every write is logged once
             for internal in comp.writes:
@@ -422,6 +473,7 @@ class TestOracleEquivalence:
         oracle = oracle_run(oracle_components, 50)
         report = collection.run(max_steps=50)
         assert report.outcome == "completed"
+        assert report.steps == oracle.steps
         assert logger.sequences(collection.components) == oracle.sequences
 
 

@@ -2,7 +2,13 @@
 
 import pytest
 
-from gatedflow import collect_hyperparameters
+from gatedflow import (
+    ComponentSpec,
+    ExperimentSpec,
+    FactoryRecipe,
+    NativeBody,
+    collect_hyperparameters,
+)
 from gatedflow.errors import NoCompleteTrials, StudyAborted
 from gatedflow.registry import HyperparameterDescriptor
 from gatedflow.study import (
@@ -221,6 +227,24 @@ class TestRunStudy:
         )
         with pytest.raises(StudyAborted):
             run_study(study, registry, store, n_trials=5)
+
+    def test_a_run_that_fails_fails_its_trial(self, registry, store):
+        def fault(inputs, ctx):
+            raise ValueError("body fault")
+
+        registry.register("component", ComponentSpec(
+            "Faulty", {"objective": "objective"},
+            step=NativeBody(fault, writes={"objective"})))
+        registry.register("experiment", ExperimentSpec(
+            "FaultyStudy", [FactoryRecipe("Faulty")], default_max_steps=3))
+        study = study_from_descriptors(registry, "FaultyStudy",
+                                       study_id="s-faulty")
+        with pytest.raises(StudyAborted):
+            run_study(study, registry, store, n_trials=3)
+        ledger = store.read_trials(study.study_id)
+        assert [t["state"] for t in ledger] == ["failed"] * 3
+        for trial in ledger:
+            assert store.read_meta(trial["run_id"])["outcome"] == "error"
 
     def test_writer_death_marks_the_run_failed_too(self, registry, store,
                                                    monkeypatch):
