@@ -24,7 +24,7 @@ from .errors import FlowError, PrimaryUnavailable, UnknownExperiment
 from .oracle import oracle_run
 from .registry import build_experiment, collect_hyperparameters
 from .store import DirectoryStore, merge_spool, open_run, query
-from .study import Study, best_trial, build_search_space, run_study
+from .study import best_trial, run_study, study_from_descriptors
 from .viz import aggregate, export_csv, render_svg
 
 EXIT_OK = 0
@@ -40,18 +40,11 @@ def _flag_type(desc):
             value = int(text)
         elif desc.kind == "real":
             value = float(text)
-        else:
-            value = text
-        if desc.bounds is not None:
-            low, high = desc.bounds
-            if not low <= value <= high:
-                raise argparse.ArgumentTypeError(
-                    f"value {value} outside bounds ({low}, {high})"
-                )
-        if desc.choices is not None and value not in desc.choices:
+        else:  # the choice that prints as the text, so "32" selects int 32
+            value = next((c for c in desc.choices or () if str(c) == text), text)
+        if not desc.contains(value):
             raise argparse.ArgumentTypeError(
-                f"value {value!r} not among choices {desc.choices}"
-            )
+                f"value {text} not in {desc.choices or desc.bounds}")
         return value
 
     return convert
@@ -77,8 +70,8 @@ def _attach_negative_values(rest) -> list:
 
 def _parse_experiment_args(registry, experiment, rest) -> dict:
     """Parse one typed flag per collected parameter, e.g.
-    ``--ComponentF.SubcomponentA.scaler``, into an exp_args mapping; bounded
-    flags validate their range."""
+    ``--ComponentF.SubcomponentA.scaler``, into an exp_args mapping; a value
+    its descriptor does not contain exits 2."""
     parser = argparse.ArgumentParser(prog=f"run {experiment}", add_help=False)
     for name, desc in collect_hyperparameters(registry, experiment):
         parser.add_argument(f"--{name}", dest=name, type=_flag_type(desc))
@@ -165,20 +158,20 @@ def cmd_study(args, rest) -> int:
     parallelism = (args.parallelism if args.parallelism is not None
                    else study_def.parallelism)
     defs._check_study_counts(seed, n_trials, parallelism)
+    try:
+        study = study_from_descriptors(
+            registry, study_def.experiment,
+            direction=study_def.direction,
+            objective_tag=study_def.objective_tag,
+            reduce=study_def.reduce,
+            sampler=study_def.sampler,
+            seed=seed,
+            max_steps=study_def.max_steps,
+            step_timeout=study_def.step_timeout,
+        )
+    except ValueError as exc:  # a direction, reducer or sampler Study rejects
+        raise defs.DefinitionError(f"{args.definition}: {exc}") from exc
     store, spool = _make_stores(args)
-    space = build_search_space(
-        collect_hyperparameters(registry, study_def.experiment)
-    )
-    study = Study(
-        study_def.experiment, space,
-        direction=study_def.direction,
-        objective_tag=study_def.objective_tag,
-        reduce=study_def.reduce,
-        sampler=study_def.sampler,
-        seed=seed,
-        max_steps=study_def.max_steps,
-        step_timeout=study_def.step_timeout,
-    )
     run_study(study, registry, store, n_trials, parallelism=parallelism,
               spool=spool)
     complete = [t for t in study.trials if t.state == "complete"]

@@ -93,6 +93,23 @@ class ExperimentDefinition:
         return self.experiment or "inline"
 
 
+def _check_mapping(field, value):
+    if not isinstance(value, dict):
+        raise DefinitionError(f"{field} must be a mapping, got {value!r}")
+
+
+def _check_entry(entry):
+    """Reject a component entry whose shape cannot become a component."""
+    if not isinstance(entry, dict) or "name" not in entry:
+        raise DefinitionError(f"component entry needs a 'name': {entry!r}")
+    _check_limits(entry.get("max_steps"), None)
+    io_map = entry.get("io_map")
+    if io_map is not None:
+        _check_mapping(f"io_map of {entry['name']!r}", io_map)
+    if not io_map and entry.get("type") is None:
+        raise DefinitionError(f"inline component {entry['name']!r} needs an io_map")
+
+
 def load_experiment_definition(path) -> ExperimentDefinition:
     doc = load_document(path)
     experiment = doc.get("experiment")
@@ -102,10 +119,17 @@ def load_experiment_definition(path) -> ExperimentDefinition:
             f"{path}: exactly one of 'experiment' or 'components' is required"
         )
     _check_limits(doc.get("max_steps"), doc.get("step_timeout"))
+    args = doc.get("args") or {}
+    _check_mapping("args", args)
+    if components is not None:
+        if not isinstance(components, list):
+            raise DefinitionError(f"components must be a list, got {components!r}")
+        for entry in components:
+            _check_entry(entry)
     return ExperimentDefinition(
         experiment=experiment,
         components=components,
-        args=doc.get("args") or {},
+        args=args,
         max_steps=doc.get("max_steps"),
         step_timeout=doc.get("step_timeout"),
     )
@@ -119,9 +143,6 @@ def build_from_definition(registry: TypeRegistry, definition: ExperimentDefiniti
                                 step_timeout=definition.step_timeout)
     components = []
     for entry in definition.components:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise DefinitionError(f"component entry needs a 'name': {entry!r}")
-        _check_limits(entry.get("max_steps"), None)
         type_name = entry.get("type")
         if type_name is not None:
             spec = registry.component(type_name)
@@ -134,11 +155,7 @@ def build_from_definition(registry: TypeRegistry, definition: ExperimentDefiniti
             override = entry.get("io_map")
             init, step = spec.init, spec.step
         else:
-            io_map = entry.get("io_map")
-            if not io_map:
-                raise DefinitionError(
-                    f"inline component {entry['name']!r} needs an io_map"
-                )
+            io_map = entry["io_map"]
             override = None
             init, step = entry.get("init"), entry.get("step")
         components.append(make_component(
@@ -175,6 +192,7 @@ def load_study_definition(path) -> StudyDefinition:
         raise DefinitionError(f"{path}: study definition needs 'experiment'")
     _check_limits(doc.get("max_steps"), doc.get("step_timeout"))
     objective = doc.get("objective") or {}
+    _check_mapping("objective", objective)
     definition = StudyDefinition(
         experiment=doc["experiment"],
         direction=doc.get("direction", "minimize"),

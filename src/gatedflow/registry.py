@@ -35,6 +35,16 @@ class HyperparameterDescriptor:
     def bounded(self) -> bool:
         return self.bounds is not None or self.choices is not None
 
+    def contains(self, value) -> bool:
+        """Whether ``value`` is one of the choices or inside the inclusive
+        bounds; an unbounded descriptor admits any value."""
+        if self.choices is not None:
+            return value in self.choices
+        if self.bounds is not None:
+            low, high = self.bounds
+            return low <= value <= high
+        return True
+
     def validate(self):
         if self.kind not in ("real", "integer", "categorical"):
             raise InvalidDescriptor(f"{self.name}: unknown kind {self.kind!r}")
@@ -44,7 +54,7 @@ class HyperparameterDescriptor:
             if self.choices is not None:
                 if len(self.choices) < 2:
                     raise InvalidDescriptor(f"{self.name}: needs at least 2 choices")
-                if self.default not in self.choices:
+                if not self.contains(self.default):
                     raise InvalidDescriptor(f"{self.name}: default not among choices")
             if self.log_scale:
                 raise InvalidDescriptor(f"{self.name}: log_scale is numeric-only")
@@ -55,7 +65,7 @@ class HyperparameterDescriptor:
             low, high = self.bounds
             if not low < high:
                 raise InvalidDescriptor(f"{self.name}: bounds must satisfy low < high")
-            if self.default is not None and not low <= self.default <= high:
+            if self.default is not None and not self.contains(self.default):
                 raise InvalidDescriptor(
                     f"{self.name}: default {self.default} outside bounds {self.bounds}"
                 )

@@ -424,14 +424,9 @@ class RunLogger:
                 return
 
     def close(self, outcome: str = "completed"):
-        """Flush residual records and finalise meta.json. Idempotent, except
-        after a close that raised the writer's error: a later close then
-        rewrites meta.json with its own outcome, so the caller can mark the
-        run failed."""
+        """Flush residual records and finalise meta.json. Idempotent: a later
+        close does nothing (``mark_failed`` changes a closed run's outcome)."""
         if self._closed:
-            if self._writer_error is not None and self._meta_written:
-                self.meta["outcome"] = outcome
-                self._write_meta()
             return
         with self._cond:
             self._closed = True
@@ -452,6 +447,18 @@ class RunLogger:
             # shows up in queries; then the writer's error is surfaced
             if error is not None:
                 raise error
+
+    def mark_failed(self):
+        """Close the run as ``failed``; or, if a close already wrote its
+        meta.json as ``completed`` or ``stopped``, rewrite that outcome to
+        ``failed`` (an ``error`` or ``timeout`` outcome already says why).
+        A study calls this for a trial that fails, even after its run closed
+        (its writer died, or it logged no objective)."""
+        if not self._closed:
+            self.close(outcome="failed")
+        elif self._meta_written and self.meta["outcome"] in ("completed", "stopped"):
+            self.meta["outcome"] = "failed"
+            self._write_meta()
 
     def _write_meta(self):
         try:

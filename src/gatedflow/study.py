@@ -15,12 +15,12 @@ import math
 import threading
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NoCompleteTrials, StudyAborted
-from .registry import build_experiment, collect_hyperparameters
+from .registry import HyperparameterDescriptor, build_experiment, collect_hyperparameters
 from .store import RECORD_ORDER, DirectoryStore, open_run, query
 
 EXPLORE_PROBABILITY = 0.2
@@ -35,35 +35,18 @@ REDUCERS = {
 
 
 @dataclass
-class Dimension:
-    name: str
-    kind: str  # real | integer | categorical
-    bounds: tuple | None = None
-    choices: list | None = None
-    log_scale: bool = False
-
-    def contains(self, value) -> bool:
-        if self.kind == "categorical":
-            return value in self.choices
-        low, high = self.bounds
-        return low <= value <= high
-
-
-@dataclass
 class SearchSpace:
-    dimensions: list[Dimension] = field(default_factory=list)
+    dimensions: list[HyperparameterDescriptor] = field(default_factory=list)
     fixed: dict = field(default_factory=dict)
 
 
 def build_search_space(descriptors) -> SearchSpace:
-    """Partition collected descriptors into sampled dimensions and fixed values."""
+    """Partition collected descriptors into sampled dimensions, each a
+    descriptor renamed to its namespaced name, and fixed values."""
     space = SearchSpace()
     for name, desc in sorted(descriptors, key=lambda item: item[0]):
         if desc.bounded:
-            space.dimensions.append(Dimension(
-                name, desc.kind, bounds=desc.bounds, choices=desc.choices,
-                log_scale=desc.log_scale,
-            ))
+            space.dimensions.append(replace(desc, name=name))
         else:
             space.fixed[name] = desc.default
     return space
@@ -127,7 +110,7 @@ class Study:
         }
 
 
-def _sample_dimension_uniform(dim: Dimension, rng) -> object:
+def _sample_dimension_uniform(dim: HyperparameterDescriptor, rng) -> object:
     if dim.kind == "categorical":
         return dim.choices[int(rng.integers(0, len(dim.choices)))]
     low, high = dim.bounds
@@ -242,7 +225,7 @@ def run_study(study: Study, registry, store: DirectoryStore, n_trials: int,
             trial.objective = float(reducer([r.value for r in records]))
             trial.state = "complete"
         except Exception:
-            run.close(outcome="failed")
+            run.mark_failed()
             trial.objective = None
             trial.state = "failed"
         with ledger_lock:

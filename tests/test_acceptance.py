@@ -22,7 +22,6 @@ from gatedflow.errors import DuplicateSubject, IncompleteGraph
 from gatedflow.registry import HyperparameterDescriptor
 from gatedflow.store import DirectoryStore, merge_spool, open_run
 from gatedflow.study import (
-    Dimension,
     SearchSpace,
     Study,
     best_trial,
@@ -176,10 +175,11 @@ def test_study_correctness(registry, tmp_path):
 def test_sampler_bounds():
     with criterion("sampler bounds containment (1000/dimension)", 1.0):
         space = SearchSpace(dimensions=[
-            Dimension("lr", "real", bounds=(1e-4, 1e-1), log_scale=True),
-            Dimension("ratio", "real", bounds=(0.1, 1.0)),
-            Dimension("width", "integer", bounds=(2, 9)),
-            Dimension("mode", "categorical", choices=["a", "b", "c"]),
+            HyperparameterDescriptor("lr", "real", bounds=(1e-4, 1e-1),
+                                     log_scale=True),
+            HyperparameterDescriptor("ratio", "real", bounds=(0.1, 1.0)),
+            HyperparameterDescriptor("width", "integer", bounds=(2, 9)),
+            HyperparameterDescriptor("mode", "categorical", choices=["a", "b", "c"]),
         ])
         study = Study("X", space, seed=17)
         for _ in range(1000):

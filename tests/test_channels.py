@@ -15,6 +15,7 @@ from gatedflow.errors import (
     IncompleteGraph,
     RegistryNotSealed,
     RegistrySealed,
+    ValueTypeError,
 )
 
 
@@ -306,6 +307,17 @@ class TestSequenceTotality:
         for idx in range(n_observers):
             assert seen[idx] == published
         assert max(min_gens) <= 1
+
+
+class TestValueType:
+    @pytest.mark.parametrize("value", [[1], None], ids=["list", "none"])
+    def test_non_scalar_publish_raises_and_stores_nothing(self, value):
+        _, subject, observer = sealed_pair()
+        subject.publish(1)
+        assert observer.observe() == 1
+        with pytest.raises(ValueTypeError):
+            subject.publish(value)
+        assert subject.generation == 1
 
 
 class TestPoison:

@@ -15,6 +15,12 @@ from gatedflow.cli import (
     _parse_experiment_args,
     main,
 )
+from gatedflow.registry import (
+    ComponentSpec,
+    ExperimentSpec,
+    FactoryRecipe,
+    HyperparameterDescriptor,
+)
 from gatedflow.store import DirectoryStore
 
 
@@ -60,6 +66,26 @@ class TestFlagGeneration:
         with pytest.raises(SystemExit):
             _parse_experiment_args(registry, "ToyExperimentF",
                                    ["--ProductObjective.target", "0.5"])
+
+    @pytest.mark.parametrize("choices, text, value", [
+        ([16, 32, 64], "32", 32),
+        ([0.5, 1.5], "1.5", 1.5),
+        ([True, False], "False", False),
+        (["a", "b"], "b", "b"),
+    ], ids=["int", "float", "bool", "str"])
+    def test_categorical_flag_selects_the_choice_it_prints_as(
+            self, registry, choices, text, value):
+        registry.register("component", ComponentSpec("W", {}, params=[
+            HyperparameterDescriptor("width", "categorical", default=choices[0],
+                                     choices=choices)]))
+        registry.register("experiment", ExperimentSpec("Wide", [FactoryRecipe("W")]))
+        parsed = _parse_experiment_args(registry, "Wide", ["--W.width", text])
+        assert parsed == {"W.width": value}
+        assert type(parsed["W.width"]) is type(value)
+        for other in ("48", "32.0", "1.50", "false", "c"):
+            with pytest.raises(SystemExit) as exc:
+                _parse_experiment_args(registry, "Wide", ["--W.width", other])
+            assert exc.value.code == EXIT_USAGE
 
     def test_unbounded_parameter_gets_an_unvalidated_flag(self, registry):
         for text in ("-2.5", "0", "1e9"):
@@ -338,6 +364,39 @@ def test_bad_flags_exit_two(root, tmp_path, capsys, command, flags):
               else study_definition(tmp_path, n_trials=2))
     assert run_cli(command, target, *flags, "--store-root", root) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, bad", [
+    ({"direction": "sideways"}, "sideways"),
+    ({"objective": {"reduce": "median"}}, "median"),
+    ({"sampler": "annealing"}, "annealing"),
+    ({"objective": "last"}, "last"),
+], ids=["direction", "reduce", "sampler", "objective"])
+def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
+    path = study_definition(tmp_path, n_trials=2, **fields)
+    assert run_cli("study", path, "--store-root", root) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and repr(bad) in err
+    assert DirectoryStore(root).list_studies() == []
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "ToyStudy", "args": 5},
+    {"components": 5},
+    {"components": [5]},
+    {"components": [{**COUNTER, "io_map": ["x"]}]},
+    {"components": [{"type": "AlphaSource", "name": "S", "io_map": ["alpha"]}]},
+    {"components": [{"io_map": {"x": "x"}, "step": "x = 1"}]},
+    {"components": [{"name": "P", "step": "x = 1"}]},
+], ids=["args", "components", "entry", "inline-io_map", "typed-io_map",
+        "no-name", "no-io_map"])
+def test_malformed_experiment_definition_exits_two_before_its_run(
+        root, tmp_path, capsys, doc):
+    path = tmp_path / "exp.yaml"
+    path.write_text(json.dumps({**doc, "max_steps": 3}))
+    assert run_cli("run", str(path), "--store-root", root) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert DirectoryStore(root).list_runs() == []
 
 
 class TestListExportPlot:

@@ -25,6 +25,7 @@ from gatedflow.errors import (
     RegistrySealed,
     ScriptSyntaxError,
     UnknownInternalName,
+    ValueTypeError,
 )
 from gatedflow.store import open_run, query
 
@@ -322,6 +323,17 @@ class TestRun:
         assert not runner.is_alive()
         assert reports[0].outcome == "error"
         assert "body fault" in str(reports[0].error)
+
+    def test_a_non_scalar_write_ends_the_run_in_error(self):
+        producer = make_component("P", {"x": "x"}, step_body=NativeBody(
+            lambda inputs, ctx: {"x": [1, 2]}, writes={"x"}))
+        consumer = make_component("C", {"x": "x", "y": "y"}, step_body="y = x")
+        collection = ComponentCollection([producer, consumer], step_timeout=5.0)
+        collection.bind()
+        report = collection.run(max_steps=3)
+        assert report.outcome == "error"
+        assert isinstance(report.error, ValueTypeError)
+        assert "got list" in str(report.error)
 
     def test_collection_not_reusable(self):
         collection = toy_abc()

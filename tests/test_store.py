@@ -315,6 +315,23 @@ class TestRunLogger:
         assert meta["seed"] == 5
         assert meta["args"] == {"k": 1}
 
+    def test_mark_failed_closes_or_rewrites_the_outcome(self, store):
+        closed = open_run(store, "Toy", seed=5)
+        closed.proxy("A").record("loss", 1.0)
+        closed.close(outcome="completed")
+        closed.mark_failed()
+        unclosed = open_run(store, "Toy")
+        unclosed.mark_failed()
+        unclosed.close(outcome="completed")  # ignored: already finalised
+        errored = open_run(store, "Toy")
+        errored.close(outcome="error")
+        errored.mark_failed()  # kept: "error" already says why the run failed
+        for run in (closed, unclosed):
+            assert store.read_meta(run.run_id)["outcome"] == "failed"
+        assert store.read_meta(errored.run_id)["outcome"] == "error"
+        assert store.read_meta(closed.run_id)["seed"] == 5
+        assert len(store.read_records(closed.run_id)) == 1
+
     def test_small_batches_held_until_interval_or_close(self, store):
         run = open_run(store, "Toy", interval=60.0)
         proxy = run.proxy("A")

@@ -12,7 +12,6 @@ from gatedflow import (
 from gatedflow.errors import NoCompleteTrials, StudyAborted
 from gatedflow.registry import HyperparameterDescriptor
 from gatedflow.study import (
-    Dimension,
     SearchSpace,
     Study,
     Trial,
@@ -62,10 +61,11 @@ class TestSearchSpace:
 class TestSamplers:
     def wide_space(self):
         return SearchSpace(dimensions=[
-            Dimension("lr", "real", bounds=(1e-4, 1e-1), log_scale=True),
-            Dimension("width", "integer", bounds=(2, 9)),
-            Dimension("mode", "categorical", choices=["a", "b", "c"]),
-            Dimension("ratio", "real", bounds=(0.1, 1.0)),
+            HyperparameterDescriptor("lr", "real", bounds=(1e-4, 1e-1),
+                                     log_scale=True),
+            HyperparameterDescriptor("width", "integer", bounds=(2, 9)),
+            HyperparameterDescriptor("mode", "categorical", choices=["a", "b", "c"]),
+            HyperparameterDescriptor("ratio", "real", bounds=(0.1, 1.0)),
         ])
 
     def test_uniform_respects_bounds_everywhere(self):
@@ -262,6 +262,17 @@ class TestRunStudy:
             meta = store.read_meta(trial.run_id)
             assert meta["outcome"] == "failed"
             assert meta["writer_error"] == "RuntimeError: encoder fault"
+
+    def test_a_trial_with_no_objective_records_fails_its_run_too(
+            self, registry, store):
+        study = study_from_descriptors(registry, "ToyStudy",
+                                       objective_tag="no-such-tag")
+        with pytest.raises(StudyAborted):
+            run_study(study, registry, store, n_trials=2)
+        ledger = store.read_trials(study.study_id)
+        assert [t["state"] for t in ledger] == ["failed"] * 2
+        for trial in ledger:
+            assert store.read_meta(trial["run_id"])["outcome"] == "failed"
 
     def test_study_survives_a_failing_primary_with_a_spool(
             self, registry, store, spool, monkeypatch):
