@@ -7,11 +7,12 @@ current generation, and an observe blocks until a generation newer than the
 observer's last consumed one is available. This rendezvous is what lets
 independent components self-organise into a dataflow graph.
 
-Each event wakes only the threads it unblocks: a subject's one lock carries
-two wait sets, one for its observers and one for its producer (see Subject).
+Each observer owns two binary locks, so a wait is one lock acquire and each
+event wakes only the thread it unblocks: its gate, held while it has nothing
+to read, and its ack, held from a publish until it has read it (see Subject).
 
-Sealing wires the handles: each Subject gets its observer count and timeout,
-each Observer its Subject. No handle refers back to the registry.
+Sealing wires the handles: each Subject gets its timeout and its observers'
+locks, each Observer its Subject. No handle refers back to the registry.
 
 An op that has to wait marks its own handle with its name (``_waiting``) and
 takes its deadline only then. A wait that gets its value clears the mark; a
@@ -111,15 +112,17 @@ class ChannelRegistry:
             raise IncompleteGraph(missing)
         self.sealed = True
         for (ns, _owner), observer in self._observers.items():
-            observer._subject = self._subjects[ns]
+            subject = self._subjects[ns]
+            observer._subject = subject
+            subject._gates.append(observer._gate)
+            subject._acks.append(observer._ack)
         report = BindReport()
         for ns in sorted(self._subjects):
             subject = self._subjects[ns]
             owners = sorted(consumers.get(ns, []))
-            subject._timeout = self.default_timeout
-            subject._fanout = len(owners)
             if self.poisoned:  # a poison that came before this subject existed
                 subject._poisoned = True
+            subject._timeout = self.default_timeout  # sealed from here on
             report.entries.append(BindEntry(ns, subject.owner, owners))
         return report
 
@@ -136,20 +139,27 @@ class ChannelRegistry:
         """Release every blocked context, now and forever. Idempotent."""
         self.poisoned = True
         for subject in list(self._subjects.values()):  # bind may be adding
-            with subject._lock:
-                subject._poisoned = True
-                subject._readable.notify_all()
-                subject._writable.notify_all()
+            subject._poisoned = True
+            _open(*subject._gates, *subject._acks)
+
+
+def _open(*locks):
+    """Release each lock; one that is already open stays open."""
+    for lock in locks:
+        try:
+            lock.release()
+        except RuntimeError:
+            pass
 
 
 class Subject:
     """Producer handle: one per namespace, single slot, generation counter.
 
-    ``_unacked`` counts the observers yet to read the current generation. A
-    publish waits on ``_writable`` until it is zero, stores the next
-    generation and wakes the observers waiting on ``_readable``. Only the
-    observe that brings the count to zero wakes the producer; poison wakes
-    both sets.
+    A publish takes every observer's ack, waiting on each one whose observer
+    has not read the current generation, then stores the next generation and
+    releases every observer's gate. A publish that times out hands back the
+    acks it took. Poison opens every gate and ack, so each op checks
+    ``_poisoned`` after its acquire: an opened lock never hands out a value.
     """
 
     def __init__(self, namespace: str, owner=None):
@@ -157,63 +167,65 @@ class Subject:
         self.owner = owner
         self.generation = 0
         self.slot = None
-        self._fanout = None   # observer count; None until sealed
         self._timeout = None  # default wait, copied from the registry at seal
+        self._gates = []      # the observers' gates and acks, wired at seal
+        self._acks = []
         self._poisoned = False
         self._waiting = None  # "publish" while publish waits; see the module doc
-        self._lock = threading.RLock()
-        self._readable = threading.Condition(self._lock)
-        self._writable = threading.Condition(self._lock)
-        self._unacked = 0
 
     def _require_sealed(self):
-        if self._fanout is None:
+        if self._timeout is None:
             raise RegistryNotSealed(
                 f"channel traffic on {self.namespace!r} before seal"
             )
 
-    def _store(self, value):
-        """Hold ``value`` as the next generation and wake the observers."""
-        self.slot = value
-        self.generation += 1
-        self._unacked = self._fanout
-        self._readable.notify_all()
-
     def publish(self, value):
         """Store the next generation, waiting for all consumers to catch up."""
-        check_value(value)
+        self._publish(check_value(value))
+
+    def _publish(self, value):
         self._require_sealed()
-        with self._lock:
-            if self._unacked or self._poisoned:
+        acks = self._acks
+        deadline = None
+        for ack in acks:
+            if ack.acquire(False):
+                continue
+            if deadline is None:
                 self._waiting = "publish"
                 deadline = time.monotonic() + self._timeout
-                while self._unacked and not self._poisoned:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ChannelTimeout(self.namespace, "publish", self._timeout)
-                    self._writable.wait(remaining)
-                if self._poisoned:
-                    raise ChannelPoisoned(self.namespace)
-                self._waiting = None
-            self._store(value)
+            if not (self._poisoned or ack.acquire(
+                    True, max(deadline - time.monotonic(), 0))):
+                _open(*acks[:acks.index(ack)])  # leave the channel as it was
+                raise ChannelTimeout(self.namespace, "publish", self._timeout)
+        if self._poisoned:
+            self._waiting = "publish"
+            raise ChannelPoisoned(self.namespace)
+        if deadline is not None:
+            self._waiting = None
+        self.slot = value
+        self.generation += 1
+        for gate in self._gates:
+            try:
+                gate.release()
+            except RuntimeError:  # poison opened it first
+                pass
 
     def initialise_state(self, value):
         """Generation-0 publish used to bootstrap a cycle; never blocks."""
         check_value(value)
-        self._require_sealed()
-        with self._lock:
-            if self.generation >= 1:
-                raise AlreadyInitialised(
-                    f"subject {self.namespace!r} already holds generation "
-                    f"{self.generation}"
-                )
-            if self._poisoned:
-                raise ChannelPoisoned(self.namespace)
-            self._store(value)
+        if self.generation >= 1:
+            raise AlreadyInitialised(
+                f"subject {self.namespace!r} already holds generation "
+                f"{self.generation}"
+            )
+        self._publish(value)  # every ack is free before generation 1
 
 
 class Observer:
-    """Consumer handle for one (namespace, owner) pair."""
+    """Consumer handle for one (namespace, owner) pair.
+
+    Its gate is held while it has no unread generation, and its ack from the
+    publish of a generation until it has read it."""
 
     def __init__(self, namespace: str, owner: str):
         self.namespace = namespace
@@ -221,28 +233,30 @@ class Observer:
         self.last_consumed = 0
         self._subject: Subject | None = None  # set at seal
         self._waiting = None  # "observe" while observe waits; see the module doc
+        self._gate = threading.Lock()
+        self._gate.acquire()
+        self._ack = threading.Lock()
 
     def observe(self):
         """Block until a generation newer than last_consumed exists, return it."""
         subject = self._subject
-        if subject is None:
-            raise RegistryNotSealed(
-                f"channel traffic on {self.namespace!r} before seal"
-            )
-        with subject._lock:
-            if subject.generation == self.last_consumed or subject._poisoned:
-                self._waiting = "observe"
-                deadline = time.monotonic() + subject._timeout
-                while subject.generation == self.last_consumed and not subject._poisoned:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ChannelTimeout(self.namespace, "observe", subject._timeout)
-                    subject._readable.wait(remaining)
-                if subject._poisoned:
-                    raise ChannelPoisoned(self.namespace)
-                self._waiting = None
-            self.last_consumed = subject.generation
-            subject._unacked -= 1
-            if not subject._unacked:
-                subject._writable.notify()
-            return subject.slot
+        if not self._gate.acquire(False):
+            if subject is None:
+                raise RegistryNotSealed(
+                    f"channel traffic on {self.namespace!r} before seal"
+                )
+            self._waiting = "observe"
+            if not (subject._poisoned
+                    or self._gate.acquire(True, subject._timeout)):
+                raise ChannelTimeout(self.namespace, "observe", subject._timeout)
+            self._waiting = None
+        if subject._poisoned:
+            self._waiting = "observe"
+            raise ChannelPoisoned(self.namespace)
+        value = subject.slot
+        self.last_consumed = subject.generation
+        try:
+            self._ack.release()
+        except RuntimeError:  # poison opened it first
+            pass
+        return value

@@ -150,16 +150,11 @@ def cmd_run(args, rest) -> int:
     return EXIT_OK
 
 
-def cmd_study(args, rest) -> int:
-    registry = register_builtin()
-    study_def = defs.load_study_definition(args.definition)
-    n_trials = args.n_trials if args.n_trials is not None else study_def.n_trials
-    seed = args.seed if args.seed is not None else study_def.seed
-    parallelism = (args.parallelism if args.parallelism is not None
-                   else study_def.parallelism)
-    defs._check_study_counts(seed, n_trials, parallelism)
+def _build_study(registry, definition, study_def, seed):
+    """The Study a study file describes; a setting it rejects is a
+    DefinitionError naming the file."""
     try:
-        study = study_from_descriptors(
+        return study_from_descriptors(
             registry, study_def.experiment,
             direction=study_def.direction,
             objective_tag=study_def.objective_tag,
@@ -170,7 +165,18 @@ def cmd_study(args, rest) -> int:
             step_timeout=study_def.step_timeout,
         )
     except ValueError as exc:  # a direction, reducer or sampler Study rejects
-        raise defs.DefinitionError(f"{args.definition}: {exc}") from exc
+        raise defs.DefinitionError(f"{definition}: {exc}") from exc
+
+
+def cmd_study(args, rest) -> int:
+    registry = register_builtin()
+    study_def = defs.load_study_definition(args.definition)
+    n_trials = args.n_trials if args.n_trials is not None else study_def.n_trials
+    seed = args.seed if args.seed is not None else study_def.seed
+    parallelism = (args.parallelism if args.parallelism is not None
+                   else study_def.parallelism)
+    defs._check_study_counts(seed, n_trials, parallelism)
+    study = _build_study(registry, args.definition, study_def, seed)
     store, spool = _make_stores(args)
     run_study(study, registry, store, n_trials, parallelism=parallelism,
               spool=spool)
@@ -246,6 +252,8 @@ def cmd_merge_spool(args, rest) -> int:
 
 def cmd_emit_batch_script(args, rest) -> int:
     study_def = defs.load_study_definition(args.definition)
+    # each array task builds this Study: a file it rejects gets no script
+    _build_study(register_builtin(), args.definition, study_def, study_def.seed)
     n_trials = args.n_trials if args.n_trials is not None else study_def.n_trials
     if n_trials <= 0:
         print("cannot partition a study with no trials", file=sys.stderr)
@@ -394,3 +402,7 @@ def main(argv=None) -> int:
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

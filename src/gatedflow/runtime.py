@@ -38,15 +38,21 @@ class NativeBody:
     ``fn(inputs, ctx)`` receives the observed values and a context exposing
     ``record(tag, value)``; it returns a mapping of write name to value.
     ``run`` fetches the reads in sorted order, calls ``fn`` once, and emits
-    the returned writes in the mapping's order.
+    the returned writes in the mapping's order. The IO sets are frozen at
+    construction, and the fetch order is computed then.
     """
 
     fn: object
-    reads: set[str] = field(default_factory=set)
-    writes: set[str] = field(default_factory=set)
+    reads: frozenset[str] = frozenset()
+    writes: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        self.reads = frozenset(self.reads)
+        self.writes = frozenset(self.writes)
+        self._fetch_order = tuple(sorted(self.reads))
 
     def run(self, fetch, emit, record):
-        inputs = {name: fetch(name) for name in sorted(self.reads)}
+        inputs = {name: fetch(name) for name in self._fetch_order}
         outputs = self.fn(inputs, SimpleNamespace(record=record)) or {}
         for name, value in outputs.items():
             emit(name, value)

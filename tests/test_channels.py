@@ -1,5 +1,6 @@
 """Channel-layer semantics: pseudo-singletons, gating, timeout, poison."""
 
+import random
 import sys
 import threading
 import time
@@ -403,3 +404,98 @@ class TestPoison:
         reg.poison()
         reg.poison()
         assert reg.poisoned
+
+
+class TestGateContract:
+    """Each observer's gate and ack: a timed-out publish hands back what it
+    took, and a poison that opens a lock never hands out a value."""
+
+    @pytest.mark.parametrize("reader", [0, 1], ids=["first-read", "second-read"])
+    def test_timed_out_publish_leaves_the_channel_as_it_found_it(self, reader):
+        reg = ChannelRegistry(default_timeout=0.1)
+        subject = reg.create_subject("x", owner="P")
+        observers = [reg.acquire_observer("x", owner) for owner in ("A", "B")]
+        reg.seal_and_bind()
+        subject.publish(1)
+        assert observers[reader].observe() == 1
+        with pytest.raises(ChannelTimeout):
+            subject.publish(2)  # the other observer has not read generation 1
+        assert observers[1 - reader].observe() == 1
+        subject.publish(2)
+        assert [o.observe() for o in observers] == [2, 2]
+
+    def test_poisoned_wait_raises_and_consumes_nothing(self):
+        reg, subject, observer = sealed_pair(timeout=30.0)
+        subject.publish(1)
+        assert observer.observe() == 1
+        result = {}
+
+        def wait():
+            try:
+                result["value"] = observer.observe()
+            except ChannelPoisoned as exc:
+                result["error"] = exc
+
+        t = threading.Thread(target=wait)
+        t.start()
+        wait_until(lambda: reg.blocked() == [("A", "x", "observe")])
+        reg.poison()
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert isinstance(result.get("error"), ChannelPoisoned)
+        assert observer.last_consumed == 1
+        start = time.monotonic()  # the woken wait took the gate; still no wait
+        with pytest.raises(ChannelPoisoned):
+            observer.observe()
+        with pytest.raises(ChannelPoisoned):
+            subject.publish(2)
+        assert time.monotonic() - start < 1.0
+        assert observer.last_consumed == 1
+
+    @pytest.mark.parametrize("round_", range(3))
+    def test_poison_at_a_random_point_leaves_gap_free_prefixes(self, round_):
+        count = 500
+        reg = ChannelRegistry(default_timeout=10.0)
+        subject = reg.create_subject("s", owner="P")
+        observers = [reg.acquire_observer("s", f"O{i:02d}") for i in range(16)]
+        reg.seal_and_bind()
+        target = random.Random(round_).randint(1, count)
+        seen = {o.owner: [] for o in observers}
+
+        def until_poisoned(body):
+            try:
+                body()
+            except ChannelPoisoned:
+                pass
+
+        def produce():
+            for value in range(1, count + 1):
+                subject.publish(value)
+
+        def consume(observer):
+            for _ in range(count):
+                seen[observer.owner].append(observer.observe())
+
+        def poison():
+            while subject.generation < target:
+                time.sleep(0)
+            reg.poison()
+
+        threads = [threading.Thread(target=until_poisoned, args=(produce,))]
+        threads += [threading.Thread(target=until_poisoned,
+                                     args=(lambda o=o: consume(o),))
+                    for o in observers]
+        threads.append(threading.Thread(target=poison))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often to expose races
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=5.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for values in seen.values():
+            assert values == list(range(1, len(values) + 1))
+            assert len(values) <= subject.generation

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import gatedflow
 from gatedflow.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -510,6 +513,41 @@ class TestEmitBatchScript:
         path = study_definition(tmp_path, n_trials=0)
         assert run_cli("emit-batch-script", path, "--out", "/dev/null",
                        "--store-root", root) == EXIT_USAGE
+
+    def test_a_study_file_the_tasks_would_reject_gets_no_script(
+            self, root, tmp_path, capsys):
+        path = study_definition(tmp_path, n_trials=4, direction="sideways")
+        out = tmp_path / "submit.sh"
+        assert run_cli("emit-batch-script", path, "--partitions", "2",
+                       "--out", str(out), "--store-root", root) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "'sideways'" in err
+        assert not out.exists()
+
+
+class TestModuleEntry:
+    """``python -m gatedflow`` and ``python -m gatedflow.cli`` run the CLI."""
+
+    @staticmethod
+    def run_module(module, *argv):
+        src = os.path.dirname(os.path.dirname(gatedflow.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("module", ["gatedflow", "gatedflow.cli"])
+    def test_list_prints_the_listing(self, module):
+        done = self.run_module(module, "list")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "ToyExperimentPlain" in json.loads(done.stdout)["experiments"]
+
+    @pytest.mark.parametrize("module", ["gatedflow", "gatedflow.cli"])
+    def test_bad_study_file_exits_two(self, module, tmp_path):
+        path = study_definition(tmp_path, n_trials=2, direction="sideways")
+        done = self.run_module(module, "study", path,
+                               "--store-root", str(tmp_path / "store"))
+        assert done.returncode == EXIT_USAGE
+        assert "usage error" in done.stderr
 
 
 class TestOracleRun:

@@ -568,6 +568,20 @@ class TestIsolation:
         assert swapped_log.sequences(swapped.components) == \
             scripted_log.sequences(scripted.components)
 
+    def test_native_body_freezes_its_io_and_fetches_in_sorted_order(self):
+        reads = {"y", "x", "w"}
+        native = NativeBody(fn=lambda inputs, ctx: {"z": list(inputs)},
+                            reads=reads, writes=["z"])
+        reads.add("late")  # the caller's set is not the body's
+        assert native.reads == frozenset({"w", "x", "y"})
+        assert native.writes == frozenset({"z"})
+        fetched, emitted = [], []
+        for _ in range(2):
+            native.run(lambda name: fetched.append(name) or 0,
+                       lambda name, value: emitted.append(value), None)
+        assert fetched == ["w", "x", "y"] * 2
+        assert emitted == [["w", "x", "y"]] * 2
+
     def test_remap_leaves_script_text_untouched(self, registry):
         plain = build_experiment(registry, "ToyExperimentPlain")
         remapped = build_experiment(registry, "ToyExperiment")
