@@ -7,23 +7,25 @@ Layout (one directory tree per store root):
     <root>/studies/<study_id>/study.json
     <root>/studies/<study_id>/trials.ndjson
 
-Components log through a ProxyLogger whose record() call appends to the
-run's one buffer; a writer thread commits the buffer in chunks. record()
-blocks only while chunk + QUEUE_CAPACITY records wait for the writer, and
-a dead writer's error is raised to producers blocked there too. When the
-primary store cannot be written, chunks divert to a local spool with the
-identical layout, to be merged back later with merge_spool().
+Components log through a ProxyLogger whose record() call encodes the
+record's line and appends it to the run's one buffer; a writer thread commits
+the buffered lines in chunks. record() blocks only while chunk +
+QUEUE_CAPACITY records wait for the writer, and a dead writer's error is
+raised to producers blocked there too. When the primary store cannot be
+written, chunks divert to a local spool with the identical layout, to be
+merged back later with merge_spool().
 
 The .ndjson files are append-only logs with one writer each: chunks are
 appended in place and fsynced, all or nothing. Readers skip a torn last line,
 the next append cuts it off, and a reader during an append sees whole lines
 from a prefix of that chunk. meta.json and study.json are replaced atomically.
 
-Every metrics line is written by one encoder, _lines, whose bytes are those
-of json.dumps of the line's dict with separators (",", ":"). It encodes each
-(component, tag) head once per chunk, and query() tests a line's head before
-it decodes the line: a line that starts with {"c": is taken to be written by
-_lines.
+Every metrics line is written by one encoder, _line, whose bytes are those
+of json.dumps of the line's dict with separators (",", ":"). record() calls
+it on the recording thread, with the (component, tag) head that the run
+encoded at the pair's first record, and append_records takes encoded lines.
+query() tests a line's head before it decodes the line: a line that starts
+with {"c": is taken to be written by _line.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class MetricRecord:
         return (self.run_id, self.component, self.tag, self.step)
 
     def to_line(self) -> str:
-        return _lines((self,))[:-1]
+        return _line(_head(self.component, self.tag), self.step,
+                     self.wall_time, self.value)
 
     @classmethod
     def from_line(cls, run_id: str, line: str) -> "MetricRecord":
@@ -99,21 +102,9 @@ def _head(component, tag) -> str:
     return _component_head(component) + _json(tag) + ',"s":'
 
 
-def _lines(records) -> str:
-    """NDJSON text of records, one line each, with each head encoded once."""
-    heads = {}
-    out = []
-    for r in records:
-        component, tag = r.component, r.tag
-        if type(component) is str and type(tag) is str:
-            head = heads.get((component, tag))
-            if head is None:
-                head = heads[component, tag] = _head(component, tag)
-        else:  # equal keys of other types (1, 1.0, True) encode differently
-            head = _head(component, tag)
-        out.append(f'{head}{_json(r.step)},"w":{_json(r.wall_time)},'
-                   f'"v":{_json(r.value)}}}\n')
-    return "".join(out)
+def _line(head, step, wall_time, value) -> str:
+    """The metrics line of one record, without its newline."""
+    return f'{head}{_json(step)},"w":{_json(wall_time)},"v":{_json(value)}}}'
 
 
 def new_run_id() -> str:
@@ -182,10 +173,11 @@ class DirectoryStore:
 
     # -- writes -------------------------------------------------------------
 
-    def append_records(self, run_id: str, records):
-        """Append a chunk in place and fsync it, all or nothing, after cutting
-        off a torn last line; a concurrent reader sees only whole lines."""
-        _append(self._metrics_path(run_id), _lines(records))
+    def append_records(self, run_id: str, lines):
+        """Append a non-empty chunk of lines, as MetricRecord.to_line writes
+        them, in place and fsync it, all or nothing, after cutting off a torn
+        last line; a concurrent reader sees only whole lines."""
+        _append(self._metrics_path(run_id), "\n".join(lines) + "\n")
 
     def write_meta(self, run_id: str, meta: dict):
         os.makedirs(self.run_dir(run_id), exist_ok=True)
@@ -254,7 +246,7 @@ def query(store: DirectoryStore, run_ids=None, experiment=None, component=None,
     if not os.path.isdir(store.root):
         raise PrimaryUnavailable(store.root)
     runs = list(run_ids) if run_ids is not None else store.list_runs()
-    # a line that _lines wrote starts with the head of its record; records
+    # a line that _line wrote starts with the head of its record; records
     # with a matching head are still decoded and compared below
     head = None
     if type(component) is str:
@@ -272,7 +264,7 @@ def query(store: DirectoryStore, run_ids=None, experiment=None, component=None,
         for line in _read_lines(store._metrics_path(run_id)):
             if (head is not None and not line.startswith(head)
                     and line.startswith('{"c":')):
-                continue  # written by _lines for another component or tag
+                continue  # written by _line for another component or tag
             rec = MetricRecord.from_line(run_id, line)
             if component is not None and rec.component != component:
                 continue
@@ -294,17 +286,18 @@ class MergeReport:
 
 
 def merge_spool(primary: DirectoryStore, spool: DirectoryStore) -> MergeReport:
-    """Move spooled records into the primary, deduplicated by record key; the
+    """Move spooled lines into the primary, deduplicated by record key; the
     primary's lines stream past the spooled keys, so memory follows the spool."""
     if not os.path.isdir(primary.root):
         raise PrimaryUnavailable(primary.root)
     report = MergeReport()
     for run_id in spool.list_runs():
-        spooled = spool.read_records(run_id)
-        missing = {r.key for r in spooled}
+        spooled = [(MetricRecord.from_line(run_id, line).key, line[:-1])
+                   for line in _read_lines(spool._metrics_path(run_id))]
+        missing = {key for key, _ in spooled}
         for line in _read_lines(primary._metrics_path(run_id)):
             missing.discard(MetricRecord.from_line(run_id, line).key)
-        fresh = [r for r in spooled if r.key in missing]
+        fresh = [line for key, line in spooled if key in missing]
         report.skipped += len(spooled) - len(fresh)
         if fresh:
             primary.append_records(run_id, fresh)
@@ -320,10 +313,11 @@ def merge_spool(primary: DirectoryStore, spool: DirectoryStore) -> MergeReport:
 
 
 class ProxyLogger:
-    """Per-component handle; record() stamps a record and appends it to the
-    run's buffer, never waiting for durability. It blocks only while chunk +
-    QUEUE_CAPACITY records wait for the writer, and raises the writer's error
-    once that thread has died, also in a producer blocked there."""
+    """Per-component handle; record() stamps and encodes a record and appends
+    its line to the run's buffer, never waiting for durability. It blocks
+    only while chunk + QUEUE_CAPACITY records wait for the writer, and raises
+    the writer's error once that thread has died, also in a producer blocked
+    there. A value that json cannot encode raises here, in its caller."""
 
     def __init__(self, run_logger: "RunLogger", component: str):
         self._run = run_logger
@@ -336,10 +330,11 @@ class ProxyLogger:
 class RunLogger:
     """Owns the record buffer and the writer thread for one run.
 
-    One condition over a plain lock guards the buffer, the per-(component,
-    tag) step counters, _closed and _writer_error. The writer takes at most
-    one chunk at a time and writes it outside the lock; it takes a partial
-    chunk once `interval` has passed since its last take."""
+    One condition over a plain lock guards the buffer of encoded lines, the
+    per-(component, tag) heads and step counters, _closed and _writer_error.
+    The writer takes at most one chunk at a time and writes it outside the
+    lock; it takes a partial chunk once `interval` has passed since its last
+    take."""
 
     def __init__(self, store: DirectoryStore, meta: dict, spool=None,
                  chunk: int = DEFAULT_CHUNK, interval: float = DEFAULT_INTERVAL):
@@ -355,8 +350,8 @@ class RunLogger:
         self.spooled_records = 0
         self._limit = chunk + QUEUE_CAPACITY
         self._cond = threading.Condition(threading.Lock())
-        self._buffer: list[MetricRecord] = []
-        self._steps: dict[tuple[str, str], int] = {}
+        self._buffer: list[str] = []
+        self._steps: dict[tuple[str, str], list] = {}  # [head, next step]
         self._closed = False
         self._writer_error = None
         self._start = time.monotonic()
@@ -379,28 +374,33 @@ class RunLogger:
                 if len(self._buffer) < self._limit:
                     break
                 self._cond.wait()  # backpressure: the writer is behind
-            step = self._steps.get((component, tag), 0)
-            self._steps[(component, tag)] = step + 1
-            self._buffer.append(MetricRecord(
-                self.run_id, component, tag, step,
-                time.monotonic() - self._start, value,
-            ))
+            counter = self._steps.get((component, tag))
+            if counter is None:
+                counter = self._steps[component, tag] = [_head(component, tag), 0]
+            head = counter[0]
+            if type(component) is not str or type(tag) is not str:
+                # equal keys of other types (1, 1.0, True) encode differently
+                head = _head(component, tag)
+            # encoded before the step is taken, so a rejected value takes none
+            line = _line(head, counter[1], time.monotonic() - self._start, value)
+            counter[1] += 1
+            self._buffer.append(line)
             if len(self._buffer) == self.chunk:
                 self._cond.notify()  # only the writer can be waiting here
 
     # -- writer context -----------------------------------------------------
 
-    def _flush(self, records):
-        if not records:
+    def _flush(self, lines):
+        if not lines:
             return
         try:
-            self.store.append_records(self.run_id, records)
+            self.store.append_records(self.run_id, lines)
         except OSError:
             self.failed_flushes += 1
             if self.spool is None:
                 raise
-            self.spool.append_records(self.run_id, records)
-            self.spooled_records += len(records)
+            self.spool.append_records(self.run_id, lines)
+            self.spooled_records += len(lines)
 
     def _writer_loop(self):
         taken = time.monotonic()
@@ -411,12 +411,12 @@ class RunLogger:
                     max(0.01, self.interval - (time.monotonic() - taken)))
                 if self._closed and not self._buffer:
                     return
-                records = self._buffer[:self.chunk]
+                lines = self._buffer[:self.chunk]
                 del self._buffer[:self.chunk]
                 self._cond.notify_all()  # producers held by backpressure
             taken = time.monotonic()
             try:
-                self._flush(records)
+                self._flush(lines)
             except Exception as exc:  # raised again by record() and close()
                 with self._cond:
                     self._writer_error = exc

@@ -467,7 +467,8 @@ class TestMergeSpoolCommand:
         spool_root = tmp_path / "spool"
         spool = DirectoryStore(spool_root)
         spool.append_records("r1", [
-            MetricRecord("r1", "A", "loss", i, 0.0, float(i)) for i in range(8)
+            MetricRecord("r1", "A", "loss", i, 0.0, float(i)).to_line()
+            for i in range(8)
         ])
         code = run_cli("merge-spool", "--store-root", root,
                        "--spool-root", str(spool_root))

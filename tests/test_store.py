@@ -1,6 +1,7 @@
 """Persistence layer: NDJSON store, buffered writer, spool failover."""
 
 import enum
+import itertools
 import json
 import math
 import os
@@ -11,13 +12,17 @@ import time
 import pytest
 
 import gatedflow.store
-from gatedflow import build_experiment
+from gatedflow import (
+    ComponentCollection,
+    NativeBody,
+    build_experiment,
+    make_component,
+)
 from gatedflow.errors import PrimaryUnavailable, RunClosed
 from gatedflow.store import (
     DirectoryStore,
     MetricRecord,
     RunLogger,
-    _lines,
     merge_spool,
     open_run,
     query,
@@ -29,6 +34,11 @@ def make_records(run_id, n, tag="loss", component="A"):
             for i in range(n)]
 
 
+def to_lines(records):
+    """The encoded lines that append_records takes."""
+    return [r.to_line() for r in records]
+
+
 class TestDirectoryStore:
     def test_record_line_round_trip(self):
         rec = MetricRecord("r1", "A", "loss", 3, 1.25, 0.5)
@@ -36,12 +46,12 @@ class TestDirectoryStore:
 
     def test_append_and_read_back(self, store):
         records = make_records("r1", 10)
-        store.append_records("r1", records[:4])
-        store.append_records("r1", records[4:])
+        store.append_records("r1", to_lines(records[:4]))
+        store.append_records("r1", to_lines(records[4:]))
         assert store.read_records("r1") == records
 
     def test_ndjson_layout_on_disk(self, store):
-        store.append_records("r1", make_records("r1", 2))
+        store.append_records("r1", to_lines(make_records("r1", 2)))
         path = os.path.join(store.root, "runs", "r1", "metrics.ndjson")
         with open(path) as fh:
             lines = [json.loads(l) for l in fh if l.strip()]
@@ -76,14 +86,14 @@ class TestDirectoryStore:
         assert os.listdir(store.study_dir("s1")) == []
 
     def test_list_runs_sorted(self, store):
-        store.append_records("r2", make_records("r2", 1))
-        store.append_records("r1", make_records("r1", 1))
+        store.append_records("r2", to_lines(make_records("r2", 1)))
+        store.append_records("r1", to_lines(make_records("r1", 1)))
         assert store.list_runs() == ["r1", "r2"]
 
     def test_no_partial_lines_on_rewrite(self, store):
         # a 500-line chunk goes down in one append; reading it back must
         # give complete lines only, each once and in order
-        store.append_records("r1", make_records("r1", 500))
+        store.append_records("r1", to_lines(make_records("r1", 500)))
         records = store.read_records("r1")
         assert len(records) == 500
         assert all(r.step == i for i, r in enumerate(records))
@@ -142,7 +152,8 @@ def dumps_line(rec):
 
 
 class TestLineEncoder:
-    """Every metrics line is byte-identical to json.dumps of its record."""
+    """Every metrics line is byte-identical to json.dumps of its record, both
+    from MetricRecord.to_line and from a RunLogger's record()."""
 
     def random_records(self, rng, n):
         pairs = [(random_name(rng), random_name(rng)) for _ in range(4)]
@@ -150,14 +161,43 @@ class TestLineEncoder:
                              random_number(rng), random_value(rng))
                 for _ in range(n)]
 
-    def test_lines_match_json_dumps(self):
+    def log(self, store, recorded):
+        """Record each (component, tag, value) through a real RunLogger;
+        return the bytes of its metrics.ndjson and the json.dumps lines of
+        the same records, with the steps counted per (component, tag) key
+        and the wall times the logger stamped."""
+        run = open_run(store, "Toy", chunk=16)
+        for component, tag, value in recorded:
+            run.proxy(component).record(tag, value)
+        run.close()
+        with open(store._metrics_path(run.run_id), "rb") as fh:
+            written = fh.read()
+        steps = {}
+        expected = []
+        for (component, tag, value), line in zip(recorded,
+                                                 written.split(b"\n")):
+            step = steps[component, tag] = steps.get((component, tag), -1) + 1
+            wall_time = json.loads(line)["w"]
+            expected.append(dumps_line(MetricRecord(
+                run.run_id, component, tag, step, wall_time, value)) + "\n")
+        return written, "".join(expected).encode()
+
+    def test_lines_match_json_dumps(self, store):
         rng = random.Random(20261018)
         for _ in range(200):
             chunk = self.random_records(rng, rng.randint(1, 20))
             expected = [dumps_line(r) for r in chunk]
             assert [r.to_line() for r in chunk] == expected
-            # heads are shared across interleaved (component, tag) pairs
-            assert _lines(chunk) == "".join(line + "\n" for line in expected)
+        # heads are encoded once per (component, tag) and shared across
+        # interleaved pairs, chunks and proxies of the same component
+        pairs = [(random_name(rng), random_name(rng)) for _ in range(8)]
+        recorded = [(*rng.choice(pairs), rng.choice(
+            [random_number(rng), random_value(rng)])) for _ in range(2000)]
+        recorded += [("A", "edge", v)
+                     for v in (math.nan, math.inf, -math.inf, 2**70, -0.0)]
+        written, expected = self.log(store, recorded)
+        assert written.count(b"\n") == len(recorded)
+        assert written == expected
 
     def test_lines_round_trip_through_from_line(self):
         rng = random.Random(7)
@@ -167,21 +207,36 @@ class TestLineEncoder:
         plain = MetricRecord("r1", 'q"\\é', "\x01t", 2**70, -0.0, [1, 2.5, None])
         assert MetricRecord.from_line("r1", plain.to_line()) == plain
 
-    def test_equal_names_of_other_types_keep_their_own_encoding(self):
-        chunk = [MetricRecord("r1", c, "t", 0, 0.0, 0) for c in (1, 1.0, True, "1")]
-        assert _lines(chunk) == "".join(dumps_line(r) + "\n" for r in chunk)
+    def test_equal_names_of_other_types_keep_their_own_encoding(self, store):
+        names = (1, 1.0, True, "1")
+        chunk = [MetricRecord("r1", c, "t", 0, 0.0, 0) for c in names]
+        assert [r.to_line() for r in chunk] == [dumps_line(r) for r in chunk]
+        # 1, 1.0 and True share one step counter, and each keeps its own head
+        recorded = [(c, "t", 0) for c in names] + [("A", t, 0) for t in names]
+        recorded += recorded
+        written, expected = self.log(store, recorded)
+        assert written == expected
+        steps = [json.loads(line)["s"] for line in written.splitlines()]
+        assert steps == [0, 1, 2, 0] * 2 + [3, 4, 5, 1] * 2
 
     @pytest.mark.parametrize("field", ["component", "tag", "step", "value"])
-    def test_unserialisable_value_raises_the_same_type_error(self, field):
+    def test_unserialisable_value_raises_the_same_type_error(self, store,
+                                                             field):
         fields = {"run_id": "r1", "component": "A", "tag": "t", "step": 0,
                   "wall_time": 0.0, "value": 1.0, field: object()}
         rec = MetricRecord(**fields)
         with pytest.raises(TypeError) as expected:
             dumps_line(rec)
-        for encode in (rec.to_line, lambda: _lines([rec])):
+        run = open_run(store, "Toy")
+        encoders = [rec.to_line]
+        if field != "step":  # the logger numbers the steps itself
+            encoders.append(
+                lambda: run.proxy(rec.component).record(rec.tag, rec.value))
+        for encode in encoders:
             with pytest.raises(TypeError) as got:
                 encode()
             assert str(got.value) == str(expected.value)
+        run.close()
 
 
 class TestTornTail:
@@ -195,11 +250,11 @@ class TestTornTail:
 
     def test_torn_metrics_line_skipped_then_repaired(self, store):
         records = make_records("r1", 6)
-        store.append_records("r1", records[:3])
+        store.append_records("r1", to_lines(records[:3]))
         path = os.path.join(store.root, "runs", "r1", "metrics.ndjson")
         self.tear(path)
         assert store.read_records("r1") == records[:3]
-        store.append_records("r1", records[3:])
+        store.append_records("r1", to_lines(records[3:]))
         assert store.read_records("r1") == records
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == "".join(r.to_line() + "\n" for r in records)
@@ -213,9 +268,9 @@ class TestTornTail:
         assert [t["trial_id"] for t in store.read_trials("s1")] == [0, 1, 2]
 
     def test_merge_into_torn_primary(self, store, spool):
-        store.append_records("r1", make_records("r1", 10))
+        store.append_records("r1", to_lines(make_records("r1", 10)))
         self.tear(os.path.join(store.root, "runs", "r1", "metrics.ndjson"))
-        spool.append_records("r1", make_records("r1", 20))
+        spool.append_records("r1", to_lines(make_records("r1", 20)))
         report = merge_spool(store, spool)
         assert (report.merged, report.skipped) == (10, 10)
         merged = store.read_records("r1")
@@ -223,18 +278,18 @@ class TestTornTail:
 
     def test_appends_keep_the_file_in_place(self, store):
         path = os.path.join(store.root, "runs", "r1", "metrics.ndjson")
-        store.append_records("r1", make_records("r1", 2))
+        store.append_records("r1", to_lines(make_records("r1", 2)))
         inode = os.stat(path).st_ino
-        store.append_records("r1", make_records("r1", 2))
+        store.append_records("r1", to_lines(make_records("r1", 2)))
         assert os.stat(path).st_ino == inode
 
 
 class TestQuery:
     def fill(self, store):
-        store.append_records("r1", make_records("r1", 5, tag="loss"))
-        store.append_records("r1", make_records("r1", 5, tag="acc"))
-        store.append_records("r2", make_records("r2", 5, tag="loss",
-                                                component="B"))
+        store.append_records("r1", to_lines(make_records("r1", 5, tag="loss")))
+        store.append_records("r1", to_lines(make_records("r1", 5, tag="acc")))
+        store.append_records("r2", to_lines(make_records("r2", 5, tag="loss",
+                                                   component="B")))
         store.write_meta("r1", {"experiment": "Toy"})
         store.write_meta("r2", {"experiment": "Other"})
 
@@ -264,7 +319,7 @@ class TestQuery:
         pairs = [(random_name(rng), random_name(rng)) for _ in range(8)]
         records = [MetricRecord("r1", *rng.choice(pairs), step, 0.0,
                                 random_value(rng)) for step in range(400)]
-        store.append_records("r1", records)
+        store.append_records("r1", to_lines(records))
         # lines that do not start with {"c": are decoded and compared
         with open(store._metrics_path("r1"), "a", encoding="utf-8") as fh:
             for step, (c, t) in enumerate(pairs[:4], start=1000):
@@ -410,6 +465,73 @@ class TestRunLogger:
         run.close()
         assert [r.step for r in store.read_records(run.run_id)] == [0, 1, 2]
         assert len(takes) < 100  # about 20 at one take per 10 ms
+
+
+class TestRecordEncodes:
+    """record() encodes its line on the recording thread, so a bad value
+    fails its caller, and a value is stored as it was when recorded."""
+
+    def test_unserialisable_value_fails_the_recording_component(self, store):
+        recorded = []  # (component, tag, value) of every accepted record()
+        steps = itertools.count()
+
+        def produce(inputs, ctx):
+            k = next(steps)
+            ctx.record("n", k)
+            recorded.append(("P", "n", k))
+            if k == 5:
+                ctx.record("bad", object())
+            return {"x": k}
+
+        def consume(inputs, ctx):
+            ctx.record("seen", inputs["x"])
+            recorded.append(("C", "seen", inputs["x"]))
+
+        io = {"x": "x"}
+        run = open_run(store, "Toy")
+        collection = ComponentCollection([
+            make_component("P", io, step_body=NativeBody(produce,
+                                                         writes={"x"})),
+            make_component("C", io, step_body=NativeBody(consume,
+                                                         reads={"x"})),
+        ], logger=run, step_timeout=5.0)
+        collection.bind()
+        report = collection.run(max_steps=20)
+        assert report.outcome == "error"
+        assert isinstance(report.error, TypeError)
+        run.close(outcome=report.outcome)  # the writer is unharmed
+        meta = store.read_meta(run.run_id)
+        assert meta["outcome"] == "error"
+        assert "writer_error" not in meta
+        # every accepted record is on disk with its own step, and "bad" has
+        # no line: P published x for steps 0-4 before step 5 failed
+        published = [("P", "x", k) for k in range(5)]
+        on_disk = store.read_records(run.run_id)
+        assert sorted((r.component, r.tag, r.value) for r in on_disk) == \
+            sorted(recorded + published)
+        assert all(r.step == r.value for r in on_disk)
+
+    def test_rejected_record_takes_no_step(self, store):
+        run = open_run(store, "Toy")
+        proxy = run.proxy("A")
+        proxy.record("loss", 1.0)
+        with pytest.raises(TypeError):
+            proxy.record("loss", {"x": object()})
+        proxy.record("loss", 2.0)
+        run.close()
+        assert [(r.step, r.value) for r in store.read_records(run.run_id)] == \
+            [(0, 1.0), (1, 2.0)]
+
+    def test_a_value_mutated_later_is_stored_as_recorded(self, store):
+        run = open_run(store, "Toy")
+        proxy = run.proxy("A")
+        hist = []
+        for i in range(3):
+            hist.append(i)
+            proxy.record("hist", hist)
+        run.close()
+        assert [r.value for r in store.read_records(run.run_id)] == \
+            [[0], [0, 1], [0, 1, 2]]
 
 
 class TestSpoolFailover:
@@ -613,29 +735,29 @@ class TestMergeSpool:
         overlap = make_records("r1", 10)
         fresh = [MetricRecord("r1", "A", "loss", 10 + i, 0.0, float(i))
                  for i in range(490)]
-        store.append_records("r1", overlap)
-        spool.append_records("r1", overlap + fresh)
+        store.append_records("r1", to_lines(overlap))
+        spool.append_records("r1", to_lines(overlap + fresh))
         report = merge_spool(store, spool)
         assert (report.merged, report.skipped) == (490, 10)
         assert len(store.read_records("r1")) == 500
         assert spool.list_runs() == []
 
     def test_remerge_is_idempotent(self, store, spool):
-        spool.append_records("r1", make_records("r1", 20))
+        spool.append_records("r1", to_lines(make_records("r1", 20)))
         merge_spool(store, spool)
-        spool.append_records("r1", make_records("r1", 20))  # stale copy again
+        spool.append_records("r1", to_lines(make_records("r1", 20)))  # stale copy again
         report = merge_spool(store, spool)
         assert (report.merged, report.skipped) == (0, 20)
         assert len(store.read_records("r1")) == 20
 
     def test_meta_carried_over_when_primary_lacks_it(self, store, spool):
-        spool.append_records("r1", make_records("r1", 3))
+        spool.append_records("r1", to_lines(make_records("r1", 3)))
         spool.write_meta("r1", {"experiment": "Toy", "outcome": "completed"})
         merge_spool(store, spool)
         assert store.read_meta("r1")["experiment"] == "Toy"
 
     def test_unreachable_primary_leaves_spool_untouched(self, spool, tmp_path):
-        spool.append_records("r1", make_records("r1", 3))
+        spool.append_records("r1", to_lines(make_records("r1", 3)))
         with pytest.raises(PrimaryUnavailable):
             merge_spool(DirectoryStore(tmp_path / "gone"), spool)
         assert len(spool.read_records("r1")) == 3
