@@ -4,9 +4,10 @@ publish/subscribe channels.
 Independent components declare an io_map from internal names to external
 channel namespaces; the runtime infers each component's reads and writes
 from its step script, wires the dataflow graph automatically, runs the
-components concurrently under rendezvous gating, and logs everything to a
-centralised store. A study engine samples hyperparameters and runs trials
-on top of the same machinery.
+components concurrently, each channel holding ``channels.CAPACITY``
+generations so a producer may run ahead of its readers, and logs
+everything to a centralised store. A study engine samples hyperparameters
+and runs trials on top of the same machinery.
 """
 
 from .builtin import register_builtin

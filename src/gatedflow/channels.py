@@ -1,18 +1,24 @@
 """Namespaced, generation-gated broadcast channels.
 
 A Subject is the single producer for a namespace; Observers are per-owner
-consumer handles. Each subject holds exactly one value slot guarded by a
-generation counter: a publish blocks until every observer has consumed the
-current generation, and an observe blocks until a generation newer than the
-observer's last consumed one is available. This rendezvous is what lets
-independent components self-organise into a dataflow graph.
+consumer handles. Each subject holds a ring of ``CAPACITY`` slots, and
+generation ``g`` lives in slot ``g % CAPACITY``: a publish waits only while
+some observer is ``CAPACITY`` generations behind, and an observe waits only
+until a generation newer than the observer's last consumed one exists. So a
+producer may run up to ``CAPACITY`` generations ahead of its slowest reader,
+and each reader still sees every value exactly once, in order. The graph is
+a Kahn process network: a channel's history does not depend on its capacity,
+and a larger capacity never adds a deadlock. ``oracle_run`` models the same
+capacity.
 
-Each observer owns two binary locks, so a wait is one lock acquire and each
-event wakes only the thread it unblocks: its gate, held while it has nothing
-to read, and its ack, held from a publish until it has read it (see Subject).
+Only the producer writes ``Subject.generation`` and only an observer writes
+its ``last_consumed``, so no counter is shared. Each observer owns two binary
+locks that only mean "check again": its gate, released by a publish, and its
+ack, released by a read. A waiter re-checks the counters after every acquire,
+so a stale release costs one extra loop and never hands out a value.
 
-Sealing wires the handles: each Subject gets its timeout and its observers'
-locks, each Observer its Subject. No handle refers back to the registry.
+Sealing wires the handles: each Subject gets its timeout and its observers,
+each Observer its Subject. No handle refers back to the registry.
 
 An op that has to wait marks its own handle with its name (``_waiting``) and
 takes its deadline only then. A wait that gets its value clears the mark; a
@@ -40,6 +46,10 @@ from .errors import (
 SCALAR_TYPES = (bool, int, float, str)
 
 DEFAULT_TIMEOUT = 5.0
+
+#: generations a channel holds: how far a producer may run ahead of its
+#: slowest observer
+CAPACITY = 4
 
 
 def check_value(value):
@@ -114,8 +124,8 @@ class ChannelRegistry:
         for (ns, _owner), observer in self._observers.items():
             subject = self._subjects[ns]
             observer._subject = subject
+            subject._observers.append(observer)
             subject._gates.append(observer._gate)
-            subject._acks.append(observer._ack)
         report = BindReport()
         for ns in sorted(self._subjects):
             subject = self._subjects[ns]
@@ -140,26 +150,31 @@ class ChannelRegistry:
         self.poisoned = True
         for subject in list(self._subjects.values()):  # bind may be adding
             subject._poisoned = True
-            _open(*subject._gates, *subject._acks)
+            _open(*subject._gates, *(o._ack for o in subject._observers))
 
 
 def _open(*locks):
-    """Release each lock; one that is already open stays open."""
+    """Release each held lock; one that is already open stays open. A lock
+    only means "check again", and its waiter re-checks a counter that is
+    already set, so a release that finds the lock open can be skipped."""
     for lock in locks:
-        try:
-            lock.release()
-        except RuntimeError:
-            pass
+        if lock.locked():
+            try:
+                lock.release()
+            except RuntimeError:  # another thread opened it first
+                pass
 
 
 class Subject:
-    """Producer handle: one per namespace, single slot, generation counter.
+    """Producer handle: one per namespace, a ring of ``CAPACITY`` slots.
 
-    A publish takes every observer's ack, waiting on each one whose observer
-    has not read the current generation, then stores the next generation and
-    releases every observer's gate. A publish that times out hands back the
-    acks it took. Poison opens every gate and ack, so each op checks
-    ``_poisoned`` after its acquire: an opened lock never hands out a value.
+    A publish waits, on each lagging observer's ack, while that observer is
+    ``CAPACITY`` generations behind; then it writes the next generation's
+    slot, bumps ``generation`` and releases every observer's gate. A publish
+    that times out has taken nothing, so it leaves the channel as it found it.
+    ``slot`` holds the last published value. Poison opens every gate and ack,
+    so each op checks ``_poisoned`` after its acquire: an opened lock never
+    hands out a value.
     """
 
     def __init__(self, namespace: str, owner=None):
@@ -167,9 +182,10 @@ class Subject:
         self.owner = owner
         self.generation = 0
         self.slot = None
+        self._ring = [None] * CAPACITY
         self._timeout = None  # default wait, copied from the registry at seal
-        self._gates = []      # the observers' gates and acks, wired at seal
-        self._acks = []
+        self._observers = []  # and their gates, wired at seal
+        self._gates = []
         self._poisoned = False
         self._waiting = None  # "publish" while publish waits; see the module doc
 
@@ -180,35 +196,32 @@ class Subject:
             )
 
     def publish(self, value):
-        """Store the next generation, waiting for all consumers to catch up."""
+        """Store the next generation, waiting while a consumer is a full ring
+        behind."""
         self._publish(check_value(value))
 
     def _publish(self, value):
         self._require_sealed()
-        acks = self._acks
+        # an observer at or below this has not read the slot we overwrite
+        behind = self.generation - CAPACITY
         deadline = None
-        for ack in acks:
-            if ack.acquire(False):
-                continue
-            if deadline is None:
-                self._waiting = "publish"
-                deadline = time.monotonic() + self._timeout
-            if not (self._poisoned or ack.acquire(
-                    True, max(deadline - time.monotonic(), 0))):
-                _open(*acks[:acks.index(ack)])  # leave the channel as it was
-                raise ChannelTimeout(self.namespace, "publish", self._timeout)
+        for observer in self._observers:
+            while observer.last_consumed <= behind and not self._poisoned:
+                if deadline is None:
+                    self._waiting = "publish"
+                    deadline = time.monotonic() + self._timeout
+                if not observer._ack.acquire(
+                        True, max(deadline - time.monotonic(), 0)):
+                    raise ChannelTimeout(self.namespace, "publish", self._timeout)
         if self._poisoned:
             self._waiting = "publish"
             raise ChannelPoisoned(self.namespace)
         if deadline is not None:
             self._waiting = None
-        self.slot = value
-        self.generation += 1
-        for gate in self._gates:
-            try:
-                gate.release()
-            except RuntimeError:  # poison opened it first
-                pass
+        generation = self.generation + 1
+        self._ring[generation % CAPACITY] = self.slot = value
+        self.generation = generation
+        _open(*self._gates)
 
     def initialise_state(self, value):
         """Generation-0 publish used to bootstrap a cycle; never blocks."""
@@ -218,14 +231,15 @@ class Subject:
                 f"subject {self.namespace!r} already holds generation "
                 f"{self.generation}"
             )
-        self._publish(value)  # every ack is free before generation 1
+        self._publish(value)  # an empty ring has room
 
 
 class Observer:
     """Consumer handle for one (namespace, owner) pair.
 
-    Its gate is held while it has no unread generation, and its ack from the
-    publish of a generation until it has read it."""
+    An observe reads generation ``last_consumed + 1`` from its subject's
+    ring, waiting on its gate only while that generation is unpublished, and
+    then releases its ack. Both locks start held."""
 
     def __init__(self, namespace: str, owner: str):
         self.namespace = namespace
@@ -236,27 +250,29 @@ class Observer:
         self._gate = threading.Lock()
         self._gate.acquire()
         self._ack = threading.Lock()
+        self._ack.acquire()
 
     def observe(self):
         """Block until a generation newer than last_consumed exists, return it."""
         subject = self._subject
-        if not self._gate.acquire(False):
-            if subject is None:
-                raise RegistryNotSealed(
-                    f"channel traffic on {self.namespace!r} before seal"
-                )
+        if subject is None:
+            raise RegistryNotSealed(
+                f"channel traffic on {self.namespace!r} before seal"
+            )
+        generation = self.last_consumed + 1
+        if subject.generation < generation and not subject._poisoned:
             self._waiting = "observe"
-            if not (subject._poisoned
-                    or self._gate.acquire(True, subject._timeout)):
-                raise ChannelTimeout(self.namespace, "observe", subject._timeout)
+            deadline = time.monotonic() + subject._timeout
+            while subject.generation < generation and not subject._poisoned:
+                if not self._gate.acquire(
+                        True, max(deadline - time.monotonic(), 0)):
+                    raise ChannelTimeout(
+                        self.namespace, "observe", subject._timeout)
             self._waiting = None
         if subject._poisoned:
             self._waiting = "observe"
             raise ChannelPoisoned(self.namespace)
-        value = subject.slot
-        self.last_consumed = subject.generation
-        try:
-            self._ack.release()
-        except RuntimeError:  # poison opened it first
-            pass
+        value = subject._ring[generation % CAPACITY]
+        self.last_consumed = generation
+        _open(self._ack)
         return value

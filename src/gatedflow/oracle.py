@@ -9,10 +9,12 @@ concurrent runtime is tested against. Bodies run through the runtime's
 Each component is a two-phase machine, mirroring the fact that a running
 component consumes its inputs before it blocks on publishing: a read
 transition fires when every input namespace holds an unconsumed
-generation, consuming them and evaluating the body into a pending write
-queue; publish transitions then release the queued writes one at a time,
-in program order, each gated on full consumption of that namespace's
-previous generation.
+generation, consuming generation ``consumed + 1`` of each and evaluating
+the body on those values into a pending write queue; publish transitions
+then release the queued writes one at a time, in program order, each
+gated on no consumer of that namespace being ``channels.CAPACITY``
+generations behind, as a channel's ring of slots gates a publish. So a
+graph is ``OracleStuck`` exactly when the runtime deadlocks on it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .channels import CAPACITY
 from .errors import OracleStuck
 from .runtime import Component, discard
 
@@ -32,44 +35,44 @@ class OracleResult:
 
 class _State:
     def __init__(self, components):
-        self.generation = {}
-        self.value = {}
-        self.sequences = {}
+        self.sequences = {}  # generation g of ns is sequences[ns][g - 1]
         self.consumers = {}
         for comp in components:
             for internal in comp.reads:
                 ns = comp.io_map[internal]
                 self.consumers.setdefault(ns, []).append(comp.name)
             for internal in comp.writes:
-                ns = comp.io_map[internal]
-                self.generation.setdefault(ns, 0)
-                self.sequences.setdefault(ns, [])
+                self.sequences.setdefault(comp.io_map[internal], [])
         self.consumed = {
             comp.name: {comp.io_map[r]: 0 for r in comp.reads} for comp in components
         }
 
     def publish(self, ns, value):
-        self.generation[ns] = self.generation.get(ns, 0) + 1
-        self.value[ns] = value
         self.sequences.setdefault(ns, []).append(value)
 
-    def fully_consumed(self, ns):
-        gen = self.generation.get(ns, 0)
-        if gen == 0:
-            return True
-        return all(
-            self.consumed[consumer].get(ns, 0) >= gen
-            for consumer in self.consumers.get(ns, [])
-        )
+    def generation(self, ns):
+        return len(self.sequences.get(ns, ()))
+
+    def fits(self, ns):
+        """Whether a publish to ``ns`` has room: no consumer is a full ring
+        behind."""
+        behind = self.generation(ns) - CAPACITY
+        return all(self.consumed[consumer][ns] > behind
+                   for consumer in self.consumers.get(ns, []))
 
 
 def _evaluate_body(comp: Component, body, state: _State):
-    """Run a body against the current slot values; returns queued writes
-    as (namespace, value) pairs in program order."""
+    """Run a body on the generations its component last consumed; returns
+    queued writes as (namespace, value) pairs in program order."""
     io_map = comp.io_map
+    consumed = state.consumed[comp.name]
     pending = deque()
-    body.run(lambda name: state.value[io_map[name]],
-             lambda name, value: pending.append((io_map[name], value)),
+
+    def fetch(name):
+        ns = io_map[name]
+        return state.sequences[ns][consumed[ns] - 1]
+
+    body.run(fetch, lambda name, value: pending.append((io_map[name], value)),
              discard)
     return pending
 
@@ -91,7 +94,7 @@ class _Machine:
         """Fire at most one transition; returns whether anything fired."""
         if self.pending:
             ns, value = self.pending[0]
-            if not state.fully_consumed(ns):
+            if not state.fits(ns):
                 return False
             state.publish(ns, value)
             self.pending.popleft()
@@ -103,10 +106,10 @@ class _Machine:
         body = self.comp.step_body
         reads = {self.comp.io_map[r] for r in body.reads}
         for ns in reads:
-            if state.generation.get(ns, 0) <= state.consumed[self.comp.name][ns]:
+            if state.generation(ns) <= state.consumed[self.comp.name][ns]:
                 return False
         for ns in reads:
-            state.consumed[self.comp.name][ns] = state.generation[ns]
+            state.consumed[self.comp.name][ns] += 1
         self.pending = _evaluate_body(self.comp, body, state)
         if not self.pending:
             self.steps += 1

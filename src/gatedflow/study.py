@@ -14,10 +14,7 @@ from __future__ import annotations
 import math
 import threading
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .errors import NoCompleteTrials, StudyAborted
 from .registry import HyperparameterDescriptor, build_experiment, collect_hyperparameters
@@ -95,6 +92,7 @@ class Study:
         self.max_steps = max_steps
         self.step_timeout = step_timeout
         self.trials: list[Trial] = []
+        import numpy as np  # here, so that importing gatedflow does not load it
         self._rng = np.random.default_rng(seed)
 
     def header(self) -> dict:
@@ -236,6 +234,8 @@ def run_study(study: Study, registry, store: DirectoryStore, n_trials: int,
         for i in range(n_trials):
             execute(i)
     else:
+        # here, like numpy, so that importing gatedflow does not load it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             list(pool.map(execute, range(n_trials)))
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import EmptyInput, NonNumericValue
 
 SVG_WIDTH = 800
@@ -33,6 +31,7 @@ def aggregate(records, group_by=("component", "tag")):
 
     Steps present in only some runs are retained with a smaller n.
     """
+    import numpy as np  # here, so that importing gatedflow does not load it
     groups: dict[tuple, dict[int, list]] = {}
     for rec in records:
         if isinstance(rec.value, bool) or not isinstance(rec.value, (int, float)):

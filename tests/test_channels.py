@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from gatedflow.channels import ChannelRegistry
+from gatedflow.channels import CAPACITY, ChannelRegistry
 from gatedflow.errors import (
     AlreadyInitialised,
     ChannelPoisoned,
@@ -26,6 +26,13 @@ def sealed_pair(namespace="x", owner="A", timeout=0.5):
     observer = reg.acquire_observer(namespace, owner)
     reg.seal_and_bind()
     return reg, subject, observer
+
+
+def fill(subject, first=1):
+    """Publish CAPACITY values from ``first`` on; with no reader this fills
+    the ring, so the next publish has to wait."""
+    for value in range(first, first + CAPACITY):
+        subject.publish(value)
 
 
 class TestRegistry:
@@ -113,13 +120,14 @@ class TestGating:
 
     def test_publish_times_out_without_ack(self):
         _, subject, _ = sealed_pair(timeout=0.1)
-        subject.publish(1)
+        fill(subject)  # CAPACITY publishes with no reader succeed
         with pytest.raises(ChannelTimeout):
-            subject.publish(2)
+            subject.publish(CAPACITY + 1)
+        assert subject.generation == CAPACITY
 
     def test_publish_blocks_until_consumed(self):
         _, subject, observer = sealed_pair(timeout=2.0)
-        subject.publish(1)
+        fill(subject)
         done = threading.Event()
 
         def late_consumer():
@@ -129,11 +137,12 @@ class TestGating:
 
         t = threading.Thread(target=late_consumer)
         t.start()
-        subject.publish(2)  # must wait for the observe above
+        subject.publish(CAPACITY + 1)  # must wait for the observe above
         t.join()
         assert done.is_set()
-        assert subject.generation == 2
-        assert observer.observe() == 2
+        assert subject.generation == CAPACITY + 1
+        assert [observer.observe() for _ in range(CAPACITY)] == \
+            list(range(2, CAPACITY + 2))
 
     def test_initialise_state_bootstraps(self):
         _, subject, observer = sealed_pair()
@@ -210,13 +219,13 @@ class TestWaitMark:
 
     def test_lists_a_producer_blocked_on_an_unacked_generation(self):
         reg, subject, observer = sealed_pair(timeout=5.0)
-        subject.publish(1)
-        t = threading.Thread(target=subject.publish, args=(2,))
+        fill(subject)
+        t = threading.Thread(target=subject.publish, args=(CAPACITY + 1,))
         t.start()
         wait_until(lambda: reg.blocked() == [("P", "x", "publish")])
         assert observer.observe() == 1
         t.join(timeout=5.0)
-        assert subject.generation == 2
+        assert subject.generation == CAPACITY + 1
         assert reg.blocked() == []
 
     def test_a_timed_out_op_stays_listed(self):
@@ -224,9 +233,9 @@ class TestWaitMark:
         with pytest.raises(ChannelTimeout):
             observer.observe()
         assert reg.blocked() == [("A", "x", "observe")]
-        subject.publish(1)
+        fill(subject)
         with pytest.raises(ChannelTimeout):
-            subject.publish(2)
+            subject.publish(CAPACITY + 1)
         assert reg.blocked() == [("A", "x", "observe"), ("P", "x", "publish")]
 
     def test_every_mark_clears_under_contention(self):
@@ -262,9 +271,9 @@ class TestWaitMark:
             reg.acquire_observer(ns, "A")
         reg.seal_and_bind()
         for subject in (unowned, owned):
-            subject.publish(1)
+            fill(subject)
             with pytest.raises(ChannelTimeout):
-                subject.publish(2)
+                subject.publish(CAPACITY + 1)
         assert reg.blocked() == [
             ("B", "o", "publish"), (None, "u", "publish")]
 
@@ -297,8 +306,8 @@ class TestSequenceTotality:
             # only a lost wake-up leaves a publish asleep until its deadline
             assert time.monotonic() - started < reg.default_timeout / 2
             published.append(value)
-            # rendezvous safety: generation never runs ahead of the slowest
-            # observer by more than one
+            # ring safety: generation never runs ahead of the slowest
+            # observer by more than the ring holds
             min_gens.append(
                 subject.generation - min(o.last_consumed for o in observers)
             )
@@ -307,7 +316,80 @@ class TestSequenceTotality:
             assert not t.is_alive()
         for idx in range(n_observers):
             assert seen[idx] == published
-        assert max(min_gens) <= 1
+        assert max(min_gens) <= CAPACITY
+
+
+class TestRing:
+    """A subject holds CAPACITY generations: its producer runs ahead of a
+    slow reader, and the ring never hands out a value twice or overwrites
+    one that is unread."""
+
+    def test_wrap_around_through_a_slow_observer(self):
+        count = 3 * CAPACITY + 1
+        reg, subject, observer = sealed_pair(timeout=5.0)
+        errors = []
+
+        def produce():
+            try:
+                for value in range(1, count + 1):
+                    subject.publish(value)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        t = threading.Thread(target=produce)
+        t.start()
+        seen, lags = [], []
+        for _ in range(count):
+            time.sleep(0.002)  # the producer fills the ring meanwhile
+            lags.append(subject.generation - observer.last_consumed)
+            seen.append(observer.observe())
+        t.join(timeout=5.0)
+        assert not t.is_alive() and errors == []
+        assert seen == list(range(1, count + 1))
+        assert max(lags) == CAPACITY  # the ring filled, and no further
+        assert reg.blocked() == []
+
+    def test_a_stale_ack_does_not_let_a_publish_overwrite_an_unread_slot(self):
+        reg, subject, observer = sealed_pair(timeout=0.1)
+        subject.publish(1)
+        assert observer.observe() == 1  # releases the ack; nobody waits on it
+        fill(subject, first=2)  # generations 2..CAPACITY + 1, all unread
+        with pytest.raises(ChannelTimeout):
+            subject.publish(CAPACITY + 2)  # would overwrite unread generation 2
+        assert subject.generation == CAPACITY + 1
+        assert [observer.observe() for _ in range(CAPACITY)] == \
+            list(range(2, CAPACITY + 2))
+        assert observer.last_consumed == CAPACITY + 1
+
+    def test_poison_reaches_a_publish_waiting_on_a_full_ring(self):
+        reg = ChannelRegistry(default_timeout=30.0)
+        subject = reg.create_subject("x", owner="P")
+        reader = reg.acquire_observer("x", "A")
+        idle = reg.acquire_observer("x", "B")  # never reads
+        reg.seal_and_bind()
+        fill(subject)
+        assert [reader.observe() for _ in range(CAPACITY)] == \
+            list(range(1, CAPACITY + 1))
+        result = {}
+
+        def blocked_publish():
+            try:
+                subject.publish(CAPACITY + 1)
+            except ChannelPoisoned as exc:
+                result["error"] = exc
+
+        t = threading.Thread(target=blocked_publish)
+        t.start()
+        wait_until(lambda: reg.blocked() == [("P", "x", "publish")])
+        reg.poison()
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert isinstance(result.get("error"), ChannelPoisoned)
+        assert subject.generation == CAPACITY
+        for observer in (reader, idle):
+            with pytest.raises(ChannelPoisoned):
+                observer.observe()  # unread values stay unread after poison
+        assert (reader.last_consumed, idle.last_consumed) == (CAPACITY, 0)
 
 
 class TestValueType:
@@ -332,12 +414,12 @@ class TestPoison:
 
     def test_poison_releases_blocked_publish(self):
         reg, subject, _ = sealed_pair(timeout=30.0)
-        subject.publish(1)
+        fill(subject)
         result = {}
 
         def blocked_publish():
             try:
-                subject.publish(2)
+                subject.publish(CAPACITY + 1)
             except ChannelPoisoned:
                 result["released"] = time.monotonic()
 
@@ -366,10 +448,10 @@ class TestPoison:
                 released[name] = time.monotonic()
 
         def produce():
-            wide.publish(1)
-            wide.publish(2)  # needs all 16 observers to read generation 1
-            stuck.publish(1)
-            stuck.publish(2)  # blocks: "idle" never reads generation 1
+            fill(wide)
+            wide.publish(CAPACITY + 1)  # needs all 16 observers to read 1
+            fill(stuck)
+            stuck.publish(CAPACITY + 1)  # blocks: "idle" never reads 1
 
         def consume(observer):
             while True:
@@ -385,8 +467,8 @@ class TestPoison:
         for t in threads:
             t.start()
         deadline = time.monotonic() + 5.0
-        while not (stuck.generation == 1
-                   and all(o.last_consumed == 2 for o in observers)):
+        while not (stuck.generation == CAPACITY
+                   and all(o.last_consumed == CAPACITY + 1 for o in observers)):
             assert time.monotonic() < deadline, "threads never reached their blocks"
             time.sleep(0.01)
         time.sleep(0.1)  # let every thread park in its wait
@@ -416,13 +498,19 @@ class TestGateContract:
         subject = reg.create_subject("x", owner="P")
         observers = [reg.acquire_observer("x", owner) for owner in ("A", "B")]
         reg.seal_and_bind()
-        subject.publish(1)
-        assert observers[reader].observe() == 1
+        fill(subject)
+        ring = list(range(1, CAPACITY + 1))
+        assert [observers[reader].observe() for _ in ring] == ring
         with pytest.raises(ChannelTimeout):
-            subject.publish(2)  # the other observer has not read generation 1
+            subject.publish(CAPACITY + 1)  # the other has not read generation 1
+        assert subject.generation == CAPACITY
+        assert [o.last_consumed for o in observers] == \
+            [CAPACITY if i == reader else 0 for i in range(2)]
         assert observers[1 - reader].observe() == 1
-        subject.publish(2)
-        assert [o.observe() for o in observers] == [2, 2]
+        subject.publish(CAPACITY + 1)
+        assert [observers[1 - reader].observe() for _ in ring] == \
+            list(range(2, CAPACITY + 2))
+        assert observers[reader].observe() == CAPACITY + 1
 
     def test_poisoned_wait_raises_and_consumes_nothing(self):
         reg, subject, observer = sealed_pair(timeout=30.0)
@@ -499,3 +587,5 @@ class TestGateContract:
         for values in seen.values():
             assert values == list(range(1, len(values) + 1))
             assert len(values) <= subject.generation
+        slowest = min(len(values) for values in seen.values())
+        assert subject.generation - slowest <= CAPACITY

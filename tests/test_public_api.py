@@ -6,6 +6,9 @@ has to be made here too, on purpose.
 
 import argparse
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +58,10 @@ def test_exit_codes():
 @pytest.mark.parametrize("fn, params", [
     (gatedflow.ComponentCollection.run, "(self, max_steps=None)"),
     (gatedflow.ComponentCollection.signal_stop, "(self)"),
+    (gatedflow.ComponentCollection.__init__,
+     "(self, components, step_timeout: 'float | None' = None, logger=None)"),
+    (gatedflow.ChannelRegistry.__init__,
+     "(self, default_timeout: 'float' = 5.0)"),
     (gatedflow.Subject.publish, "(self, value)"),
     (gatedflow.Observer.observe, "(self)"),
     (gatedflow.RunLogger.__init__,
@@ -63,8 +70,32 @@ def test_exit_codes():
     (gatedflow.open_run,
      "(store: 'DirectoryStore', experiment: 'str', seed=None, args=None, "
      "spool=None, chunk=256, interval=1.0)"),
-], ids=["run", "signal_stop", "publish", "observe", "RunLogger", "open_run"])
+], ids=["run", "signal_stop", "collection", "registry", "publish", "observe",
+        "RunLogger", "open_run"])
 def test_pinned_signatures(fn, params):
     signature = inspect.signature(fn).replace(
         return_annotation=inspect.Signature.empty)
     assert str(signature) == params
+
+
+def test_import_and_a_run_leave_numpy_unloaded():
+    """Only studies and charts use numpy, and only parallel studies use
+    concurrent.futures; they import them themselves, so importing the
+    package and running a collection load neither."""
+    script = "\n".join([
+        "import sys, gatedflow",
+        "unused = {'numpy', 'concurrent.futures'}",
+        "assert not unused & set(sys.modules), 'loaded by the import'",
+        "c = gatedflow.ComponentCollection([gatedflow.make_component(",
+        "    'A', {'a': 'a'}, init_body='a = 1', step_body='a = a + 1')])",
+        "c.bind()",
+        "assert c.run(max_steps=5).outcome == 'completed'",
+        "assert not unused & set(sys.modules), 'loaded by the run'",
+        "assert gatedflow.aggregate([]) == []",
+        "assert 'numpy' in sys.modules, 'aggregate imports it itself'",
+    ])
+    src = os.path.dirname(os.path.dirname(gatedflow.__file__))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -18,10 +18,12 @@ from gatedflow import (
     oracle_run,
 )
 from gatedflow import dsl
+from gatedflow.channels import CAPACITY
 from gatedflow.errors import (
     BadOverride,
     DuplicateSubject,
     IncompleteGraph,
+    OracleStuck,
     RegistrySealed,
     ScriptSyntaxError,
     UnknownInternalName,
@@ -522,7 +524,8 @@ class TestWideAndLong:
             rounds.append(None)
             # after 20 rounds the gate stays shut: the consumers, which fetch
             # gate before s (native reads go in sorted order), wait on it
-            # while the producer waits for them to read the 21st value of s
+            # while the producer, CAPACITY values of s ahead of them, waits
+            # for them to read the 21st
             if len(rounds) <= 20:
                 return {"s": len(rounds), "gate": len(rounds)}
             return {"s": len(rounds)}
@@ -543,11 +546,79 @@ class TestWideAndLong:
         assert report.outcome == "timeout"
         assert elapsed < 0.5 + 1.0
         # the deadlock comes where the gate shuts, not at a missed wake-up
-        assert report.steps == {"P": 21, **{f"C{i:02d}": 20 for i in range(16)}}
+        assert report.steps == {
+            "P": 20 + CAPACITY, **{f"C{i:02d}": 20 for i in range(16)}}
         assert report.blocked_on == sorted(
             [("P", "s", "publish")]
             + [(f"C{i:02d}", "gate", "observe") for i in range(16)]
         )
+
+
+def gated_pair(producer_steps, consumer_steps):
+    """P writes s every step and gate every other step; C reads both, so P
+    runs producer_steps - consumer_steps values of s ahead of C."""
+
+    count = []
+
+    def produce(inputs, ctx):
+        count.append(None)
+        n = len(count)
+        return {"s": n, "gate": n} if n % 2 else {"s": n}
+
+    io = {"s": "s", "gate": "gate"}
+    return [
+        make_component("P", io, step_body=NativeBody(
+            produce, writes={"s", "gate"}), max_steps=producer_steps),
+        make_component("C", io, step_body=NativeBody(
+            lambda inputs, ctx: None, reads={"s", "gate"}),
+            max_steps=consumer_steps),
+    ]
+
+
+class TestCapacityAgreement:
+    """The runtime and oracle_run model the same channel capacity: a graph
+    that needs the whole ring completes on both with the same sequences, and
+    one that needs more gives OracleStuck and a runtime timeout."""
+
+    def test_a_graph_that_needs_the_whole_ring_completes_like_the_oracle(self):
+        logger = TraceLogger()
+        collection = ComponentCollection(
+            gated_pair(2 * CAPACITY, CAPACITY), step_timeout=5.0, logger=logger)
+        collection.bind()
+        report = run_before_deadline(collection)
+        oracle = oracle_run(gated_pair(2 * CAPACITY, CAPACITY), 100)
+        assert report.outcome == "completed"
+        assert report.steps == oracle.steps == {"P": 2 * CAPACITY, "C": CAPACITY}
+        assert logger.sequences(collection.components) == oracle.sequences
+        assert oracle.sequences["s"] == list(range(1, 2 * CAPACITY + 1))
+
+    def test_a_graph_that_needs_one_slot_more_deadlocks_on_both(self):
+        with pytest.raises(OracleStuck) as err:
+            oracle_run(gated_pair(2 * CAPACITY + 1, CAPACITY), 100)
+        assert err.value.components == ["P"]
+        collection = ComponentCollection(
+            gated_pair(2 * CAPACITY + 1, CAPACITY), step_timeout=0.3)
+        collection.bind()
+        report = collection.run()
+        assert report.outcome == "timeout"
+        assert report.steps == {"P": 2 * CAPACITY, "C": CAPACITY}
+        assert report.blocked_on == [("P", "s", "publish")]
+
+    def test_a_graph_that_deadlocks_at_any_capacity_does_so_on_both(self):
+        def cycle():
+            io = {"x": "x", "y": "y"}
+            return [make_component(name, io, step_body=f"{out} = {src} + 1")
+                    for name, out, src in (("A", "x", "y"), ("B", "y", "x"))]
+
+        with pytest.raises(OracleStuck) as err:
+            oracle_run(cycle(), 10)
+        assert err.value.components == ["A", "B"]
+        collection = ComponentCollection(cycle(), step_timeout=0.3)
+        collection.bind()
+        report = collection.run(max_steps=10)
+        assert report.outcome == "timeout"
+        assert report.steps == {"A": 0, "B": 0}
+        assert report.blocked_on == [("A", "y", "observe"), ("B", "x", "observe")]
 
 
 class TestIsolation:
