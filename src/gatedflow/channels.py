@@ -156,7 +156,9 @@ class ChannelRegistry:
 def _open(*locks):
     """Release each held lock; one that is already open stays open. A lock
     only means "check again", and its waiter re-checks a counter that is
-    already set, so a release that finds the lock open can be skipped."""
+    already set, so a release that finds the lock open can be skipped.
+    Poison opens its locks here; publish and observe release theirs the
+    same way, inline."""
     for lock in locks:
         if lock.locked():
             try:
@@ -172,9 +174,11 @@ class Subject:
     ``CAPACITY`` generations behind; then it writes the next generation's
     slot, bumps ``generation`` and releases every observer's gate. A publish
     that times out has taken nothing, so it leaves the channel as it found it.
-    ``slot`` holds the last published value. Poison opens every gate and ack,
-    so each op checks ``_poisoned`` after its acquire: an opened lock never
-    hands out a value.
+    ``_floor`` is a lower bound of the observers' ``last_consumed``: a publish
+    scans them only once ``generation - CAPACITY`` reaches it, and each scan
+    refreshes it to their least ``last_consumed``. ``slot`` holds the last
+    published value. Poison opens every gate and ack, so each op checks
+    ``_poisoned`` after its acquire: an opened lock never hands out a value.
     """
 
     def __init__(self, namespace: str, owner=None):
@@ -183,45 +187,57 @@ class Subject:
         self.generation = 0
         self.slot = None
         self._ring = [None] * CAPACITY
+        self._floor = 0  # at most every observer's last_consumed
         self._timeout = None  # default wait, copied from the registry at seal
         self._observers = []  # and their gates, wired at seal
         self._gates = []
         self._poisoned = False
         self._waiting = None  # "publish" while publish waits; see the module doc
 
-    def _require_sealed(self):
-        if self._timeout is None:
-            raise RegistryNotSealed(
-                f"channel traffic on {self.namespace!r} before seal"
-            )
-
     def publish(self, value):
         """Store the next generation, waiting while a consumer is a full ring
         behind."""
-        self._publish(check_value(value))
-
-    def _publish(self, value):
-        self._require_sealed()
+        kind = type(value)
+        if (kind is not float and kind is not int and kind is not str
+                and kind is not bool):
+            check_value(value)  # a subclass passes, anything else raises
+        if self._timeout is None:
+            raise RegistryNotSealed(
+                f"channel traffic on {self.namespace!r} before seal")
+        generation = self.generation
         # an observer at or below this has not read the slot we overwrite
-        behind = self.generation - CAPACITY
+        behind = generation - CAPACITY
         deadline = None
-        for observer in self._observers:
-            while observer.last_consumed <= behind and not self._poisoned:
-                if deadline is None:
-                    self._waiting = "publish"
-                    deadline = time.monotonic() + self._timeout
-                if not observer._ack.acquire(
-                        True, max(deadline - time.monotonic(), 0)):
-                    raise ChannelTimeout(self.namespace, "publish", self._timeout)
+        if behind >= self._floor:  # else no observer can be that far behind
+            floor = generation
+            for observer in self._observers:
+                while observer.last_consumed <= behind and not self._poisoned:
+                    if deadline is None:
+                        self._waiting = "publish"
+                        deadline = time.monotonic() + self._timeout
+                    if not observer._ack.acquire(
+                            True, max(deadline - time.monotonic(), 0)):
+                        raise ChannelTimeout(
+                            self.namespace, "publish", self._timeout)
+                floor = min(floor, observer.last_consumed)
+            self._floor = floor
         if self._poisoned:
             self._waiting = "publish"
             raise ChannelPoisoned(self.namespace)
         if deadline is not None:
             self._waiting = None
-        generation = self.generation + 1
+        generation += 1
         self._ring[generation % CAPACITY] = self.slot = value
         self.generation = generation
-        _open(*self._gates)
+        for gate in self._gates:
+            if gate.locked():
+                try:
+                    gate.release()
+                except RuntimeError:  # another thread opened it first
+                    pass
+
+    # initialise_state's path, which a wrapper of ``publish`` does not see
+    _publish = publish
 
     def initialise_state(self, value):
         """Generation-0 publish used to bootstrap a cycle; never blocks."""
@@ -274,5 +290,10 @@ class Observer:
             raise ChannelPoisoned(self.namespace)
         value = subject._ring[generation % CAPACITY]
         self.last_consumed = generation
-        _open(self._ack)
+        ack = self._ack
+        if ack.locked():
+            try:
+                ack.release()
+            except RuntimeError:  # poison opened it first
+                pass
         return value

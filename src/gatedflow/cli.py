@@ -7,16 +7,20 @@ namespaced parameter. stdout carries data (JSON lines); diagnostics go to
 stderr.
 
 Exit codes are a stable contract: 0 ok, 2 usage, 3 deadlock timeout,
-4 runtime error, 5 store I/O.
+4 runtime error, 5 store I/O. ``run`` stopped by SIGINT or SIGTERM closes
+its run as ``stopped`` and exits 128 + the signal's number: 130 or 143.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
+import signal
 import sys
+import threading
 
 from . import definition as defs
 from .builtin import register_builtin
@@ -129,7 +133,8 @@ def cmd_run(args, rest) -> int:
                    spool=spool)
     try:
         collection = defs.build_from_definition(registry, exp_def, run)
-        report = collection.run(max_steps=max_steps)
+        with _stop_on_signals(collection) as signals:
+            report = collection.run(max_steps=max_steps)
     except Exception:
         run.close(outcome="error")
         raise
@@ -147,7 +152,40 @@ def cmd_run(args, rest) -> int:
     if report.outcome == "error":
         print(f"body error: {report.error}", file=sys.stderr)
         return EXIT_RUNTIME
+    if signals:  # the exit status of a process the signal ended
+        return 128 + signals[0]
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _stop_on_signals(collection):
+    """Within the block, SIGINT and SIGTERM stop ``collection`` and are
+    appended to the yielded list. The first one puts the previous handlers
+    back, so a second one acts as it would without this block. Off the main
+    thread, where Python takes no handlers, the block changes nothing."""
+    signals = []
+    if threading.current_thread() is not threading.main_thread():
+        yield signals
+        return
+    previous = {signum: signal.getsignal(signum)
+                for signum in (signal.SIGINT, signal.SIGTERM)}
+
+    def restore():
+        for signum, handler in previous.items():
+            # None: a handler not set from Python, which cannot be put back
+            signal.signal(signum, signal.SIG_DFL if handler is None else handler)
+
+    def stop(signum, frame):
+        signals.append(signum)
+        restore()
+        collection.signal_stop()
+
+    for signum in previous:
+        signal.signal(signum, stop)
+    try:
+        yield signals
+    finally:
+        restore()
 
 
 def _build_study(registry, definition, study_def, seed):

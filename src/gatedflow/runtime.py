@@ -13,7 +13,9 @@ a timeout's lists the waits the handles marked (``ChannelRegistry.blocked()``).
 
 Script and native bodies share one protocol, ``reads``/``writes`` sets and
 ``run(fetch, emit, record)``; the worker threads bind it to channel
-operations, and the oracle to its sequential slot state.
+operations, with each observer's ``observe`` bound once per run, and the
+oracle to its sequential slot state. A script body runs with a slotted env
+of its own per run, whose reads go straight to ``fetch``.
 """
 
 from __future__ import annotations
@@ -58,13 +60,31 @@ class NativeBody:
             emit(name, value)
 
 
+class _RunEnv:
+    """The env of one script body run: the attributes of a ``dsl.EvalEnv``
+    that a compiled step reads, in slots. ``lookup_input`` is the run's
+    ``fetch`` itself, with no cache: a compiled step looks each read name up
+    once, at its first use."""
+
+    __slots__ = ("lookup_input", "locals", "emitted_writes", "_on_write",
+                 "subcomponents")
+
+    def __init__(self, fetch, emit, subcomponents):
+        self.lookup_input = fetch
+        self.locals = {}
+        self.emitted_writes = []
+        self._on_write = emit
+        self.subcomponents = subcomponents
+
+
 class ScriptBody:
     """Parsed step script, its inferred IO sets and its subcomponents.
 
     The script is compiled here, on the thread that builds the component,
     and only once per distinct source and IO sets: ``dsl.parse`` returns one
     shared AST for equal text, and the compiled function is kept on it.
-    ``run`` evaluates the script once through ``dsl.evaluate``."""
+    ``run`` evaluates the script once through ``dsl.evaluate``, with a
+    slotted env of its own (``_RunEnv``)."""
 
     def __init__(self, source: str, io_map, subcomponents=None):
         self.source = source
@@ -79,8 +99,7 @@ class ScriptBody:
         dsl.compile_body(self.ast, self.io_sets)
 
     def run(self, fetch, emit, record):
-        env = dsl.EvalEnv(None, None, fetch, emit)  # positional: cheaper
-        env.subcomponents = self.subcomponents  # this body's own: no copy
+        env = _RunEnv(fetch, emit, self.subcomponents)  # this body's own: no copy
         dsl.evaluate(self.ast, env, io_sets=self.io_sets)
 
 
@@ -234,9 +253,11 @@ class ComponentCollection:
 
         def worker(comp: Component, observers, subjects, record):
             name = comp.name
+            observes = {internal: observer.observe
+                        for internal, observer in observers.items()}
 
             def fetch(internal):
-                return observers[internal].observe()
+                return observes[internal]()
 
             def publish(internal, value):
                 subjects[internal].publish(value)

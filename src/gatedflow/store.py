@@ -7,11 +7,14 @@ Layout (one directory tree per store root):
     <root>/studies/<study_id>/study.json
     <root>/studies/<study_id>/trials.ndjson
 
-Components log through a ProxyLogger whose record() call encodes the
-record's line and appends it to the run's one buffer; a writer thread commits
-the buffered lines in chunks. record() blocks only while chunk +
-QUEUE_CAPACITY records wait for the writer, and a dead writer's error is
-raised to producers blocked there too. When the primary store cannot be
+Components log through a ProxyLogger whose record() call encodes the value
+first, then, under the run's plain lock, numbers the record's line and
+appends it to the run's one buffer; a writer thread commits the buffered
+lines in chunks. A condition on that lock serves only the writer and
+record()'s slow path, taken when the run is closed, its writer died, or
+chunk + QUEUE_CAPACITY records wait for the writer: record() blocks only
+then, and a dead writer's error is raised to producers blocked there too.
+When the primary store cannot be
 written, chunks divert to a local spool with the identical layout, to be
 merged back later with merge_spool().
 
@@ -21,9 +24,10 @@ the next append cuts it off, and a reader during an append sees whole lines
 from a prefix of that chunk. meta.json and study.json are replaced atomically.
 
 Every metrics line is written by one encoder, _line, whose bytes are those
-of json.dumps of the line's dict with separators (",", ":"). record() calls
-it on the recording thread, with the (component, tag) head that the run
-encoded at the pair's first record, and append_records takes encoded lines.
+of json.dumps of the line's dict with separators (",", ":"). record() writes
+the same bytes inline on the recording thread, with the (component, tag)
+head that the run encoded at the pair's first record, and append_records
+takes encoded lines.
 query() tests a line's head before it decodes the line: a line that starts
 with {"c": is taken to be written by _line.
 """
@@ -314,27 +318,59 @@ def merge_spool(primary: DirectoryStore, spool: DirectoryStore) -> MergeReport:
 
 class ProxyLogger:
     """Per-component handle; record() stamps and encodes a record and appends
-    its line to the run's buffer, never waiting for durability. It blocks
-    only while chunk + QUEUE_CAPACITY records wait for the writer, and raises
-    the writer's error once that thread has died, also in a producer blocked
-    there. A value that json cannot encode raises here, in its caller."""
+    its line to the run's buffer, never waiting for durability.
+
+    record() does its work in one call. It encodes the value first, so a
+    value that json cannot encode raises TypeError here, in its caller, and
+    takes no step. Then, under the run's plain lock, it numbers the line with
+    the run's (component, tag) counter and buffers it. Only a closed run, a
+    dead writer or a full buffer (chunk + QUEUE_CAPACITY lines) sends it down
+    the slow path, which waits on the run's condition for room or raises
+    RunClosed or the writer's error. The counters stay in the run, so two
+    proxies of one component share one numbering."""
 
     def __init__(self, run_logger: "RunLogger", component: str):
         self._run = run_logger
         self.component = component
 
     def record(self, tag: str, value):
-        self._run._record(self.component, tag, value)
+        # encoded before the step is taken, so a rejected value takes none
+        if type(value) is float and -_INF < value < _INF:
+            text = repr(value)
+        else:
+            text = _json(value)
+        run = self._run
+        component = self.component
+        with run._lock:
+            buffer = run._buffer
+            if (run._closed or run._writer_error is not None
+                    or len(buffer) >= run._limit):
+                run._wait_for_room()
+            counter = run._steps.get((component, tag))
+            if counter is None:
+                counter = run._steps[component, tag] = [_head(component, tag), 0]
+            head = counter[0]
+            if type(component) is not str or type(tag) is not str:
+                # equal keys of other types (1, 1.0, True) encode differently
+                head = _head(component, tag)
+            step = counter[1]
+            counter[1] = step + 1
+            # _line's bytes: an int and a finite float print as json writes them
+            buffer.append(f'{head}{step},"w":'
+                          f'{time.monotonic() - run._start!r},"v":{text}}}')
+            if len(buffer) == run.chunk:
+                run._cond.notify()  # only the writer can be waiting here
 
 
 class RunLogger:
     """Owns the record buffer and the writer thread for one run.
 
-    One condition over a plain lock guards the buffer of encoded lines, the
-    per-(component, tag) heads and step counters, _closed and _writer_error.
-    The writer takes at most one chunk at a time and writes it outside the
-    lock; it takes a partial chunk once `interval` has passed since its last
-    take."""
+    One plain lock guards the buffer of encoded lines, the per-(component,
+    tag) heads and step counters, _closed and _writer_error. A condition on
+    that lock serves only the writer and record()'s slow path: producers
+    blocked on a full buffer, or the writer waiting for a chunk. The writer
+    takes at most one chunk at a time and writes it outside the lock; it
+    takes a partial chunk once `interval` has passed since its last take."""
 
     def __init__(self, store: DirectoryStore, meta: dict, spool=None,
                  chunk: int = DEFAULT_CHUNK, interval: float = DEFAULT_INTERVAL):
@@ -349,7 +385,8 @@ class RunLogger:
         self.failed_flushes = 0
         self.spooled_records = 0
         self._limit = chunk + QUEUE_CAPACITY
-        self._cond = threading.Condition(threading.Lock())
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._buffer: list[str] = []
         self._steps: dict[tuple[str, str], list] = {}  # [head, next step]
         self._closed = False
@@ -364,29 +401,17 @@ class RunLogger:
     def proxy(self, component: str) -> ProxyLogger:
         return ProxyLogger(self, component)
 
-    def _record(self, component: str, tag: str, value):
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise RunClosed(f"run {self.run_id} is finalised")
-                if self._writer_error is not None:
-                    raise self._writer_error
-                if len(self._buffer) < self._limit:
-                    break
-                self._cond.wait()  # backpressure: the writer is behind
-            counter = self._steps.get((component, tag))
-            if counter is None:
-                counter = self._steps[component, tag] = [_head(component, tag), 0]
-            head = counter[0]
-            if type(component) is not str or type(tag) is not str:
-                # equal keys of other types (1, 1.0, True) encode differently
-                head = _head(component, tag)
-            # encoded before the step is taken, so a rejected value takes none
-            line = _line(head, counter[1], time.monotonic() - self._start, value)
-            counter[1] += 1
-            self._buffer.append(line)
-            if len(self._buffer) == self.chunk:
-                self._cond.notify()  # only the writer can be waiting here
+    def _wait_for_room(self):
+        """record()'s slow path, under the lock: raise if the run is closed
+        or its writer died, else wait until the buffer has room."""
+        while True:
+            if self._closed:
+                raise RunClosed(f"run {self.run_id} is finalised")
+            if self._writer_error is not None:
+                raise self._writer_error
+            if len(self._buffer) < self._limit:
+                return
+            self._cond.wait()  # backpressure: the writer is behind
 
     # -- writer context -----------------------------------------------------
 

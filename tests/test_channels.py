@@ -392,6 +392,40 @@ class TestRing:
         assert (reader.last_consumed, idle.last_consumed) == (CAPACITY, 0)
 
 
+class TestFloor:
+    """A publish scans its observers only once ``generation - CAPACITY``
+    reaches the subject's cached ``_floor``, a lower bound of their
+    ``last_consumed`` that every scan refreshes."""
+
+    def test_the_floor_follows_a_slow_observer_that_is_not_first(self):
+        reg = ChannelRegistry(default_timeout=0.1)
+        subject = reg.create_subject("x", owner="P")
+        fast = reg.acquire_observer("x", "A")
+        slow = reg.acquire_observer("x", "B")
+        reg.seal_and_bind()
+        assert subject._observers == [fast, slow]
+        fill(subject)
+        assert [fast.observe() for _ in range(CAPACITY)] == \
+            list(range(1, CAPACITY + 1))
+        with pytest.raises(ChannelTimeout):
+            subject.publish(CAPACITY + 1)  # would overwrite slow's unread 1
+        assert subject.generation == CAPACITY
+        assert slow.observe() == 1
+        subject.publish(CAPACITY + 1)
+        assert subject._floor == 1  # slow's last_consumed, cached by the scan
+        # slow stops reading; fast catches up, so only slow holds the ring
+        assert fast.observe() == CAPACITY + 1
+        with pytest.raises(ChannelTimeout):
+            subject.publish(CAPACITY + 2)  # would overwrite slow's unread 2
+        assert subject.generation == CAPACITY + 1
+        assert slow.observe() == 2
+        subject.publish(CAPACITY + 2)
+        assert subject._floor == 2
+        assert [slow.observe() for _ in range(CAPACITY)] == \
+            list(range(3, CAPACITY + 3))
+        assert fast.observe() == CAPACITY + 2
+
+
 class TestValueType:
     @pytest.mark.parametrize("value", [[1], None], ids=["list", "none"])
     def test_non_scalar_publish_raises_and_stores_nothing(self, value):

@@ -6,9 +6,12 @@ has to be made here too, on purpose.
 
 import argparse
 import inspect
+import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -50,6 +53,42 @@ def test_cli_subcommands():
 def test_exit_codes():
     assert (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_TIMEOUT, cli.EXIT_RUNTIME,
             cli.EXIT_STORE) == (0, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("signum, code", [(signal.SIGINT, 130),
+                                          (signal.SIGTERM, 143)],
+                         ids=["SIGINT", "SIGTERM"])
+def test_a_signalled_run_closes_as_stopped(tmp_path, signum, code):
+    """``run`` stopped by a signal closes its run and exits 128 + signum;
+    every (component, tag) it logged has steps 0..n with no gap."""
+    src = os.path.dirname(os.path.dirname(gatedflow.__file__))
+    root = tmp_path / "store"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gatedflow", "run", "ToyExperimentPlain",
+         "--max-steps", "100000000", "--store-root", str(root)],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(root.glob("runs/*/metrics.ndjson")):
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "no metrics were written"
+            time.sleep(0.02)
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == code, err
+    assert json.loads(out)["outcome"] == "stopped"
+    store = gatedflow.DirectoryStore(root)
+    run_id, = store.list_runs()
+    assert store.read_meta(run_id)["outcome"] == "stopped"
+    steps = {}
+    for rec in store.read_records(run_id):
+        steps.setdefault((rec.component, rec.tag), []).append(rec.step)
+    assert steps
+    for key, seen in steps.items():
+        assert seen == list(range(len(seen))), key
 
 
 # Signatures that changed on purpose: the step timeout is fixed when a

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import random
+import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -352,6 +354,112 @@ class TestRunLogger:
         steps = {(r.component, r.tag, r.step) for r in store.read_records(run.run_id)}
         assert steps == {("A", "loss", 0), ("A", "loss", 1),
                          ("A", "acc", 0), ("B", "loss", 0)}
+
+    def test_two_proxies_of_one_component_share_one_numbering(self, store):
+        """The (component, tag) counters live in the run: two proxies of one
+        component, recording from two threads, number one gap-free sequence
+        in file order."""
+        run = open_run(store, "Toy")
+        proxies = [run.proxy("A"), run.proxy("A")]
+        n = 3000
+        start = threading.Barrier(len(proxies))
+
+        def work(proxy):
+            start.wait()
+            for i in range(n):
+                proxy.record("loss", float(i))
+
+        threads = [threading.Thread(target=work, args=(p,)) for p in proxies]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often to interleave them
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        run.close()
+        records = store.read_records(run.run_id)
+        assert [r.step for r in records] == list(range(len(proxies) * n))
+
+    @pytest.mark.parametrize("round_", range(4))
+    def test_records_racing_close_are_on_disk_or_raise(self, store, round_):
+        """A record() that returned before or during close() is on disk;
+        every later call raises RunClosed."""
+        run = open_run(store, "Toy")
+        returned, errors = {}, []
+
+        def work(name):
+            proxy, count = run.proxy(name), 0
+            try:
+                while True:
+                    proxy.record("loss", 1.0)
+                    count += 1
+            except RunClosed:
+                returned[name] = count
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(f"C{i}",))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often to expose races
+        try:
+            for t in threads:
+                t.start()
+            time.sleep(0.002 * (round_ + 1))
+            run.close()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and not any(t.is_alive() for t in threads)
+        records = store.read_records(run.run_id)
+        assert Counter(r.component for r in records) == Counter(returned)
+        steps = {}
+        for r in records:
+            steps.setdefault(r.component, []).append(r.step)
+        assert all(s == list(range(len(s))) for s in steps.values())
+
+    def test_a_record_that_takes_the_lock_after_close_raises(self, store):
+        """close() may run between the start of a record() and its taking
+        the run's lock; the record then raises instead of buffering a line
+        that the finished writer never writes."""
+        run = open_run(store, "Toy")
+        proxy = run.proxy("A")
+        proxy.record("loss", 1.0)
+        entering, closed = threading.Event(), threading.Event()
+
+        class PausedLock:
+            """The run's lock, taken once close() has returned."""
+
+            def __enter__(self):
+                entering.set()
+                closed.wait(10)
+                return run._cond.__enter__()
+
+            def __exit__(self, *exc):
+                return run._cond.__exit__(*exc)
+
+        run._lock = PausedLock()
+        outcome = []
+
+        def late_record():
+            try:
+                proxy.record("loss", 2.0)
+                outcome.append("returned")
+            except RunClosed:
+                outcome.append("closed")
+
+        t = threading.Thread(target=late_record)
+        t.start()
+        assert entering.wait(10)
+        run.close()
+        closed.set()
+        t.join(timeout=10)
+        assert outcome == ["closed"]
+        assert [r.value for r in store.read_records(run.run_id)] == [1.0]
 
     def test_record_after_close_raises(self, store):
         run = open_run(store, "Toy")
