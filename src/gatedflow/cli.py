@@ -7,7 +7,10 @@ namespaced parameter. stdout carries data (JSON lines); diagnostics go to
 stderr.
 
 Exit codes are a stable contract: 0 ok, 2 usage, 3 deadlock timeout,
-4 runtime error, 5 store I/O. ``run`` stopped by SIGINT or SIGTERM closes
+4 runtime error, 5 store I/O. A definition file whose inline components
+cannot be built (an unknown type, a script that does not parse or check)
+exits 2 before ``run`` opens a run; a body error raised while the run runs
+exits 4. ``run`` stopped by SIGINT or SIGTERM closes
 its run as ``stopped`` and exits 128 + the signal's number: 130 or 143.
 """
 
@@ -18,6 +21,7 @@ import contextlib
 import json
 import os
 import re
+import shlex
 import signal
 import sys
 import threading
@@ -27,6 +31,7 @@ from .builtin import register_builtin
 from .errors import FlowError, PrimaryUnavailable, UnknownExperiment
 from .oracle import oracle_run
 from .registry import build_experiment, collect_hyperparameters
+from .runtime import ComponentCollection
 from .store import DirectoryStore, merge_spool, open_run, query
 from .study import best_trial, run_study, study_from_descriptors
 from .viz import aggregate, export_csv, render_svg
@@ -127,12 +132,22 @@ def cmd_run(args, rest) -> int:
     if max_steps is None:
         print("a step bound is required: pass --max-steps", file=sys.stderr)
         return EXIT_USAGE
+    # an inline component that cannot be built exits 2 before a run opens
+    components = (defs.inline_components(registry, exp_def)
+                  if exp_def.experiment is None else None)
 
     store, spool = _make_stores(args)
     run = open_run(store, exp_def.label, seed=args.seed, args=exp_def.args,
                    spool=spool)
     try:
-        collection = defs.build_from_definition(registry, exp_def, run)
+        if components is None:
+            collection = build_experiment(
+                registry, exp_def.experiment, exp_def.args, logger=run,
+                step_timeout=exp_def.step_timeout)
+        else:
+            collection = ComponentCollection(
+                components, logger=run, step_timeout=exp_def.step_timeout)
+            collection.bind()
         with _stop_on_signals(collection) as signals:
             report = collection.run(max_steps=max_steps)
     except Exception:
@@ -272,6 +287,9 @@ def cmd_plot(args, rest) -> int:
     records = _select_records(args, store)
     group_by = tuple(args.group_by.split(","))
     series = aggregate(records, group_by=group_by)
+    if not series:
+        print("selection produced no series; widen the filter", file=sys.stderr)
+        return EXIT_USAGE
     svg = render_svg(series, title=args.title or (args.tag or ""))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
@@ -308,12 +326,13 @@ def cmd_emit_batch_script(args, rest) -> int:
     lines = ["#!/bin/sh"]
     for header in args.header or []:
         lines.append(header)
-    prog = args.program
+    # the program is shell text, so "python -m gatedflow" works; paths are quoted
+    command = f"exec {args.program} study {shlex.quote(args.definition)}"
+    roots = f"--store-root {shlex.quote(args.store_root)}"
+    if args.spool_root is not None:
+        roots += f" --spool-root {shlex.quote(args.spool_root)}"
     if partitions == 1:
-        lines.append(
-            f"exec {prog} study {args.definition} --n-trials {n_trials} "
-            f"--seed {seed} --store-root {args.store_root}"
-        )
+        lines.append(f"{command} --n-trials {n_trials} --seed {seed} {roots}")
     else:
         lines.append(f"#ARRAY 0-{partitions - 1}")
         lines.append('IDX="${ARRAY_INDEX:-0}"')
@@ -324,10 +343,7 @@ def cmd_emit_batch_script(args, rest) -> int:
             )
         lines.append("  *) echo \"bad array index $IDX\" >&2; exit 2 ;;")
         lines.append("esac")
-        lines.append(
-            f"exec {prog} study {args.definition} --n-trials \"$COUNT\" "
-            f"--seed \"$SEED\" --store-root {args.store_root}"
-        )
+        lines.append(f'{command} --n-trials "$COUNT" --seed "$SEED" {roots}')
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK

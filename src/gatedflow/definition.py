@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import yaml
 
 from .errors import FlowError
-from .registry import TypeRegistry, build_experiment
-from .runtime import ComponentCollection, make_component
+from .registry import TypeRegistry
+from .runtime import make_component
 
 
 class DefinitionError(FlowError):
@@ -108,6 +108,11 @@ def _check_entry(entry):
         _check_mapping(f"io_map of {entry['name']!r}", io_map)
     if not io_map and entry.get("type") is None:
         raise DefinitionError(f"inline component {entry['name']!r} needs an io_map")
+    for body in ("init", "step"):
+        text = entry.get(body)
+        if text is not None and not isinstance(text, str):
+            raise DefinitionError(
+                f"{body} of {entry['name']!r} must be script text, got {text!r}")
 
 
 def load_experiment_definition(path) -> ExperimentDefinition:
@@ -135,41 +140,39 @@ def load_experiment_definition(path) -> ExperimentDefinition:
     )
 
 
-def build_from_definition(registry: TypeRegistry, definition: ExperimentDefinition,
-                          logger=None) -> ComponentCollection:
-    if definition.experiment is not None:
-        return build_experiment(registry, definition.experiment, definition.args,
-                                logger=logger,
-                                step_timeout=definition.step_timeout)
+def inline_components(registry: TypeRegistry, definition: ExperimentDefinition):
+    """Build the components a definition declares inline. An entry with an
+    unknown type, a type that needs a factory, or a script that does not
+    parse or check is a DefinitionError, so a caller can build them before
+    it opens a run."""
     components = []
     for entry in definition.components:
         type_name = entry.get("type")
-        if type_name is not None:
-            spec = registry.component(type_name)
-            if spec.make_bodies is not None or spec.slots:
-                raise DefinitionError(
-                    f"component type {type_name!r} builds its bodies from "
-                    f"parameters or subcomponents: use it through a "
-                    f"registered experiment")
-            io_map = spec.io_map
-            override = entry.get("io_map")
-            init, step = spec.init, spec.step
-        else:
-            io_map = entry["io_map"]
-            override = None
-            init, step = entry.get("init"), entry.get("step")
-        components.append(make_component(
-            name=entry["name"],
-            io_map=io_map,
-            init_body=init,
-            step_body=step,
-            io_map_override=override,
-            max_steps=entry.get("max_steps"),
-        ))
-    collection = ComponentCollection(components, logger=logger,
-                                     step_timeout=definition.step_timeout)
-    collection.bind()
-    return collection
+        try:
+            if type_name is not None:
+                spec = registry.component(type_name)
+                if spec.make_bodies is not None or spec.slots:
+                    raise DefinitionError(
+                        f"type {type_name!r} builds its bodies from parameters "
+                        f"or subcomponents: use it through a registered experiment")
+                io_map = spec.io_map
+                override = entry.get("io_map")
+                init, step = spec.init, spec.step
+            else:
+                io_map = entry["io_map"]
+                override = None
+                init, step = entry.get("init"), entry.get("step")
+            components.append(make_component(
+                name=entry["name"],
+                io_map=io_map,
+                init_body=init,
+                step_body=step,
+                io_map_override=override,
+                max_steps=entry.get("max_steps"),
+            ))
+        except FlowError as exc:
+            raise DefinitionError(f"component {entry['name']!r}: {exc}") from exc
+    return components
 
 
 @dataclass

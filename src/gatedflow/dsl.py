@@ -10,9 +10,12 @@ The parser builds an AST, ``extract_io`` infers which names are channel
 reads and writes by walking that AST against the component's io_map, and
 ``evaluate`` runs one step. ``parse`` is memoised on the source text, so
 equal text gives one shared, frozen ``StepAST``. A body is compiled once per
-distinct source and IO sets into a plain Python function, which is kept on
-that AST; ``evaluate`` only calls it. Everything here is pure and reentrant;
-the runtime owns all synchronisation.
+distinct source and IO sets into one Python function kept on that AST,
+``step(lookup, emit, callees)``: it calls ``lookup(name)`` at a read's first
+use and ``emit(name, value)`` once per io write, in program order, holds
+locals in Python variables and takes callees from ``callees``. ``evaluate``
+calls it with an env's ``lookup_input``, ``emit`` and ``subcomponents``.
+Everything here is pure and reentrant; the runtime owns all synchronisation.
 
 Grammar (newline-separated statements):
 
@@ -103,11 +106,11 @@ class StepAST:
         return iter(self.statements)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IOSets:
-    reads: set[str] = field(default_factory=set)
-    writes: set[str] = field(default_factory=set)
-    locals: set[str] = field(default_factory=set)
+    reads: frozenset[str] = frozenset()
+    writes: frozenset[str] = frozenset()
+    locals: frozenset[str] = frozenset()
 
 
 # --- lexer -----------------------------------------------------------------
@@ -360,30 +363,30 @@ def extract_io(ast: StepAST, io_map) -> IOSets:
     and must be assigned before use.
     """
     io_keys = set(io_map)
-    sets = IOSets()
+    reads, writes, locals_ = set(), set(), set()
     for stmt in ast:
         exprs = stmt.args if isinstance(stmt, CallAssign) else (stmt.expr,)
         for expr in exprs:
             for name in _expr_names(expr):
                 ident = name.ident
                 if ident in io_keys:
-                    if ident in sets.writes:
+                    if ident in writes:
                         raise WriteBeforeReadSelfLoop(
                             f"{ident!r} is read after being written in the same body"
                         )
-                    sets.reads.add(ident)
-                elif ident not in sets.locals:
+                    reads.add(ident)
+                elif ident not in locals_:
                     raise UseBeforeAssign(
                         f"{ident!r} is not an io_map key and has not been assigned"
                     )
         target = stmt.target
         if target in io_keys:
-            if target in sets.writes:
+            if target in writes:
                 raise DoubleWrite(f"io name {target!r} assigned twice in one body")
-            sets.writes.add(target)
+            writes.add(target)
         else:
-            sets.locals.add(target)
-    return sets
+            locals_.add(target)
+    return IOSets(frozenset(reads), frozenset(writes), frozenset(locals_))
 
 
 def validate(ast: StepAST, io_map, subcomponents=()) -> IOSets:
@@ -400,17 +403,17 @@ def validate(ast: StepAST, io_map, subcomponents=()) -> IOSets:
 
 
 class EvalEnv:
-    """Execution state for one step.
+    """Execution state for one step run through ``evaluate``.
 
-    ``fetch`` is called once per distinct read name at its first use and the
-    result cached, matching the one-observe-per-step contract. ``on_write``
-    fires in program order as io writes are emitted.
+    ``lookup_input`` returns a read name's value from ``inputs``, calling
+    ``fetch`` for a name not there and caching the result, so each read is
+    fetched once per step. ``emit`` appends each io write to
+    ``emitted_writes``, then passes it to ``on_write``, in program order.
     """
 
     def __init__(self, inputs=None, subcomponents=None, fetch=None, on_write=None):
         self.inputs = dict(inputs) if inputs else {}
         self.subcomponents = dict(subcomponents) if subcomponents else {}
-        self.locals: dict[str, object] = {}
         self.emitted_writes: list[tuple[str, object]] = []
         self._fetch = fetch
         self._on_write = on_write
@@ -421,6 +424,11 @@ class EvalEnv:
                 raise MissingInput(f"no value supplied for read name {name!r}")
             self.inputs[name] = self._fetch(name)
         return self.inputs[name]
+
+    def emit(self, name: str, value):
+        self.emitted_writes.append((name, value))
+        if self._on_write is not None:
+            self._on_write(name, value)
 
 
 # --- compilation -----------------------------------------------------------
@@ -486,12 +494,9 @@ class _Codegen:
 
     def name(self, ident):
         var = self.names.get(ident)
-        if var is None:
-            # first use; a name the caller put in env.locals is read there
-            key = self.const(ident)
-            source = f"lookup({key})" if ident in self.reads else f"_unbound({key})"
-            var = self.names[ident] = self.temp(
-                f"locals_[{key}] if {key} in locals_ else {source}")
+        if var is None:  # first use: a read, or a name the io sets leave unbound
+            source = "lookup" if ident in self.reads else "_unbound"
+            var = self.names[ident] = self.temp(f"{source}({self.const(ident)})")
         return var
 
     def number(self, var, op):
@@ -526,29 +531,19 @@ class _Codegen:
 
     def statement(self, stmt):
         if isinstance(stmt, CallAssign):
-            fn = self.temp(f"_callee(env.subcomponents, {self.const(stmt.callee)})")
+            fn = self.temp(f"_callee(callees, {self.const(stmt.callee)})")
             args = [self.expr(arg) for arg in stmt.args]
             value = self.temp(f"{fn}({', '.join(args)})")
         else:
             value = self.expr(stmt.expr)
-        key = self.const(stmt.target)
         if stmt.target in self.writes:
-            self.lines.append(f"emit(({key}, {value}))")
-            self.lines.append(f"if on_write is not None: on_write({key}, {value})")
+            self.lines.append(f"emit({self.const(stmt.target)}, {value})")
         else:
-            var = self.names[stmt.target] = self.temp(f"locals_[{key}] = {value}")
-            if value in self.numbers:
-                self.numbers.add(var)
+            self.names[stmt.target] = value
 
     def source(self):
-        return "\n".join([
-            "def step(env):",
-            "    lookup = env.lookup_input",
-            "    locals_ = env.locals",
-            "    emit = env.emitted_writes.append",
-            "    on_write = env._on_write",
-            *("    " + line for line in self.lines),
-        ]) + "\n"
+        return "def step(lookup, emit, callees):\n" + "".join(
+            f"    {line}\n" for line in self.lines or ["pass"])
 
 
 def _compile(ast: StepAST, reads, writes):
@@ -586,5 +581,5 @@ def evaluate(ast: StepAST, env: EvalEnv, io_sets: IOSets | None = None,
         if io_map is None:
             raise ValueError("evaluate needs io_sets or io_map")
         io_sets = extract_io(ast, io_map)
-    compile_body(ast, io_sets)(env)
+    compile_body(ast, io_sets)(env.lookup_input, env.emit, env.subcomponents)
     return env

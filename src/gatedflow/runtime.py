@@ -14,8 +14,9 @@ a timeout's lists the waits the handles marked (``ChannelRegistry.blocked()``).
 Script and native bodies share one protocol, ``reads``/``writes`` sets and
 ``run(fetch, emit, record)``; the worker threads bind it to channel
 operations, with each observer's ``observe`` bound once per run, and the
-oracle to its sequential slot state. A script body runs with a slotted env
-of its own per run, whose reads go straight to ``fetch``.
+oracle to its sequential slot state. A script body's compiled step takes
+the same ``fetch`` and ``emit``: it calls ``fetch`` once per read name, at
+its first use, and ``emit`` once per io write, in program order.
 """
 
 from __future__ import annotations
@@ -60,46 +61,28 @@ class NativeBody:
             emit(name, value)
 
 
-class _RunEnv:
-    """The env of one script body run: the attributes of a ``dsl.EvalEnv``
-    that a compiled step reads, in slots. ``lookup_input`` is the run's
-    ``fetch`` itself, with no cache: a compiled step looks each read name up
-    once, at its first use."""
-
-    __slots__ = ("lookup_input", "locals", "emitted_writes", "_on_write",
-                 "subcomponents")
-
-    def __init__(self, fetch, emit, subcomponents):
-        self.lookup_input = fetch
-        self.locals = {}
-        self.emitted_writes = []
-        self._on_write = emit
-        self.subcomponents = subcomponents
-
-
 class ScriptBody:
     """Parsed step script, its inferred IO sets and its subcomponents.
 
     The script is compiled here, on the thread that builds the component,
     and only once per distinct source and IO sets: ``dsl.parse`` returns one
     shared AST for equal text, and the compiled function is kept on it.
-    ``run`` evaluates the script once through ``dsl.evaluate``, with a
-    slotted env of its own (``_RunEnv``)."""
+    ``run`` evaluates the script once through ``dsl.evaluate``, whose
+    compiled step reads through ``fetch`` and writes through ``emit``
+    directly."""
 
     def __init__(self, source: str, io_map, subcomponents=None):
         self.source = source
         self.ast = dsl.parse(source)
         self.subcomponents = subcomponents or {}
-        io_sets = dsl.validate(self.ast, io_map, self.subcomponents)
-        # frozen, so compile_body's key is built from them without copying
-        self.io_sets = dsl.IOSets(*map(frozenset, (
-            io_sets.reads, io_sets.writes, io_sets.locals)))
+        self.io_sets = dsl.validate(self.ast, io_map, self.subcomponents)
         self.reads = self.io_sets.reads
         self.writes = self.io_sets.writes
         dsl.compile_body(self.ast, self.io_sets)
 
     def run(self, fetch, emit, record):
-        env = _RunEnv(fetch, emit, self.subcomponents)  # this body's own: no copy
+        env = SimpleNamespace(lookup_input=fetch, emit=emit,
+                              subcomponents=self.subcomponents)
         dsl.evaluate(self.ast, env, io_sets=self.io_sets)
 
 

@@ -352,6 +352,7 @@ def test_typed_inline_entry_needing_a_factory_exits_two(root, tmp_path, capsys,
     assert run_cli("run", str(path), "--store-root", root) == EXIT_USAGE
     err = capsys.readouterr().err
     assert type_name in err and "registered experiment" in err
+    assert DirectoryStore(root).list_runs() == []
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -391,8 +392,13 @@ def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
     {"components": [{"type": "AlphaSource", "name": "S", "io_map": ["alpha"]}]},
     {"components": [{"io_map": {"x": "x"}, "step": "x = 1"}]},
     {"components": [{"name": "P", "step": "x = 1"}]},
+    {"components": [{**COUNTER, "init": 5}]},
+    {"components": [{**COUNTER, "step": "x = 1 +"}]},
+    {"components": [{**COUNTER, "init": None, "step": "x = w"}]},
+    {"components": [{"type": "NoSuchType", "name": "S"}]},
 ], ids=["args", "components", "entry", "inline-io_map", "typed-io_map",
-        "no-name", "no-io_map"])
+        "no-name", "no-io_map", "init-not-text", "step-syntax",
+        "step-unassigned-name", "unknown-type"])
 def test_malformed_experiment_definition_exits_two_before_its_run(
         root, tmp_path, capsys, doc):
     path = tmp_path / "exp.yaml"
@@ -446,6 +452,16 @@ class TestListExportPlot:
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert all("w" not in row for row in rows)
         assert {row["t"] for row in rows} == {"alpha", "x", "y", "z"}
+
+    def test_plot_of_an_empty_selection_is_usage_error(self, root, tmp_path,
+                                                       capsys):
+        self.seeded_runs(root, capsys, n=1)
+        out = tmp_path / "none.svg"
+        code = run_cli("plot", "--tag", "nosuch", "--out", str(out),
+                       "--store-root", root)
+        assert code == EXIT_USAGE
+        assert "no series" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plot_writes_deterministic_svg(self, root, tmp_path, capsys):
         self.seeded_runs(root, capsys)
@@ -509,6 +525,27 @@ class TestEmitBatchScript:
         assert "#ARRAY" not in text
         assert "exec gatedflow study" in text
         assert "--n-trials 6" in text
+
+    @pytest.mark.parametrize("partitions, index, count", [
+        ("1", "0", "6"), ("2", "1", "3")])
+    def test_paths_reach_the_program_as_one_argument_each(
+            self, tmp_path, partitions, index, count):
+        (tmp_path / "a dir").mkdir()
+        path = study_definition(tmp_path / "a dir", seed=0, n_trials=6)
+        store, spool = str(tmp_path / "sp ace/$HOME store"), "it's a spool"
+        out = tmp_path / "submit.sh"
+        assert run_cli("emit-batch-script", path, "--partitions", partitions,
+                       "--out", str(out), "--store-root", store,
+                       "--spool-root", spool,
+                       "--program", 'printf "[%s]\\n"') == EXIT_OK
+        done = subprocess.run(["sh", str(out)], capture_output=True, text=True,
+                              env={**os.environ, "ARRAY_INDEX": index},
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        seed = "0" if index == "0" else "3"
+        argv = ["study", path, "--n-trials", count, "--seed", seed,
+                "--store-root", store, "--spool-root", spool]
+        assert done.stdout == "".join(f"[{arg}]\n" for arg in argv)
 
     def test_zero_trials_rejected(self, root, tmp_path):
         path = study_definition(tmp_path, n_trials=0)

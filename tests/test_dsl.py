@@ -422,6 +422,9 @@ class TestCompiledSemantics:
         assert fetched == ["y", "x"]
         assert env.emitted_writes == [("w", 4), ("z", 6)]
 
+    def test_a_body_with_no_statements_runs_and_writes_nothing(self):
+        assert self.run("# nothing to do\n") == []
+
     def test_writes_before_a_failing_statement_are_emitted(self):
         seen = []
         env = EvalEnv(inputs={"x": 3, "y": 0},
@@ -470,7 +473,7 @@ class TestCompiledSemantics:
     def test_names_that_are_python_words_or_compiler_names(self):
         io_map = {name: name for name in (
             "class", "int", "type", "float", "lookup", "env",
-            "step", "emit", "on_write", "_div0", "print")}
+            "step", "emit", "callees", "on_write", "_div0", "print")}
         source = (
             "None = class + int\n"
             "_num = None * type - float\n"
@@ -480,6 +483,7 @@ class TestCompiledSemantics:
             "step = locals_\n"
             "_callee = _unbound(t1, class)\n"
             "emit = _callee - k1\n"
+            "callees = lookup - k1\n"
             "on_write = None + t1\n"
             "_div0 = int / 3\n"
             "print = print(int)\n"
@@ -490,7 +494,8 @@ class TestCompiledSemantics:
                          "print": lambda v: v + 1}
         ast = parse(source)
         sets = extract_io(ast, io_map)
-        assert sets.writes == {"step", "emit", "on_write", "_div0", "print"}
+        assert sets.writes == {"step", "emit", "callees", "on_write", "_div0",
+                               "print"}
 
         values, expected = dict(inputs), []
         for stmt in ast:
@@ -506,7 +511,6 @@ class TestCompiledSemantics:
         env = evaluate(ast, EvalEnv(inputs=inputs, subcomponents=subcomponents),
                        io_sets=sets)
         assert env.emitted_writes == expected
-        assert env.locals == {name: values[name] for name in sets.locals}
 
     def test_equal_text_parses_to_one_shared_ast(self):
         source = "z = x * 2.75\n"

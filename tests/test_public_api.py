@@ -117,6 +117,23 @@ def test_pinned_signatures(fn, params):
     assert str(signature) == params
 
 
+def test_eval_env_and_io_sets_carry_the_step_protocol():
+    """A compiled step takes a lookup, an emit and the callees, so an
+    ``EvalEnv`` offers ``lookup_input``, ``emit`` and ``subcomponents`` and
+    keeps no locals, and ``extract_io`` returns frozen sets."""
+    env = gatedflow.EvalEnv(inputs={"x": 1})
+    for name in ("emit", "emitted_writes", "inputs", "subcomponents",
+                 "lookup_input"):
+        assert hasattr(env, name), name
+    assert not hasattr(env, "locals")
+    sets = gatedflow.extract_io(gatedflow.parse("t = x + 1\ny = t"),
+                                {"x": "x", "y": "y"})
+    assert sets == gatedflow.IOSets(frozenset({"x"}), frozenset({"y"}),
+                                    frozenset({"t"}))
+    for field in (sets.reads, sets.writes, sets.locals):
+        assert type(field) is frozenset
+
+
 def test_import_and_a_run_leave_numpy_unloaded():
     """Only studies and charts use numpy, and only parallel studies use
     concurrent.futures; they import them themselves, so importing the

@@ -21,6 +21,7 @@ from gatedflow import dsl
 from gatedflow.channels import CAPACITY
 from gatedflow.errors import (
     BadOverride,
+    DivisionByZero,
     DuplicateSubject,
     IncompleteGraph,
     OracleStuck,
@@ -199,6 +200,18 @@ class TestCompileOnce:
         assert len(calls) == 2 and calls[0] is not calls[1]
         assert calls[0].subcomponents is comp.step_body.subcomponents
         assert len(compiles) == 1
+
+    def test_a_run_emits_each_write_once_in_order_up_to_a_raise(self):
+        body = make_component("A", {"x": "x", "y": "y", "z": "z", "w": "w"},
+                              step_body="z = x + 1\nt = x / y\nw = t\n").step_body
+        writes = []
+        with pytest.raises(DivisionByZero):
+            body.run({"x": 3, "y": 0}.__getitem__,
+                     lambda *w: writes.append(w), None)
+        assert writes == [("z", 4)]
+        writes.clear()
+        body.run({"x": 3, "y": 2}.__getitem__, lambda *w: writes.append(w), None)
+        assert writes == [("z", 4), ("w", 1.5)]
 
     def test_syntax_error_is_raised_at_every_construction(self, compiles):
         for _ in range(3):
