@@ -176,16 +176,15 @@ class Subject:
     that times out has taken nothing, so it leaves the channel as it found it.
     ``_floor`` is a lower bound of the observers' ``last_consumed``: a publish
     scans them only once ``generation - CAPACITY`` reaches it, and each scan
-    refreshes it to their least ``last_consumed``. ``slot`` holds the last
-    published value. Poison opens every gate and ack, so each op checks
-    ``_poisoned`` after its acquire: an opened lock never hands out a value.
+    refreshes it to their least ``last_consumed``. Poison opens every gate
+    and ack, so each op checks ``_poisoned`` after its acquire: an opened
+    lock never hands out a value.
     """
 
     def __init__(self, namespace: str, owner=None):
         self.namespace = namespace
         self.owner = owner
         self.generation = 0
-        self.slot = None
         self._ring = [None] * CAPACITY
         self._floor = 0  # at most every observer's last_consumed
         self._timeout = None  # default wait, copied from the registry at seal
@@ -227,7 +226,7 @@ class Subject:
         if deadline is not None:
             self._waiting = None
         generation += 1
-        self._ring[generation % CAPACITY] = self.slot = value
+        self._ring[generation % CAPACITY] = value
         self.generation = generation
         for gate in self._gates:
             if gate.locked():

@@ -132,7 +132,7 @@ def cmd_run(args, rest) -> int:
     if max_steps is None:
         print("a step bound is required: pass --max-steps", file=sys.stderr)
         return EXIT_USAGE
-    # an inline component that cannot be built exits 2 before a run opens
+    # inline components that cannot be built or bound exit 2 before a run opens
     components = (defs.inline_components(registry, exp_def)
                   if exp_def.experiment is None else None)
 

@@ -40,7 +40,7 @@ import yaml
 
 from .errors import FlowError
 from .registry import TypeRegistry
-from .runtime import make_component
+from .runtime import ComponentCollection, make_component
 
 
 class DefinitionError(FlowError):
@@ -143,8 +143,9 @@ def load_experiment_definition(path) -> ExperimentDefinition:
 def inline_components(registry: TypeRegistry, definition: ExperimentDefinition):
     """Build the components a definition declares inline. An entry with an
     unknown type, a type that needs a factory, or a script that does not
-    parse or check is a DefinitionError, so a caller can build them before
-    it opens a run."""
+    parse or check is a DefinitionError, and so is a set of components that
+    cannot bind (a repeated name or written namespace, or a read namespace
+    no one writes), so a caller can build them before it opens a run."""
     components = []
     for entry in definition.components:
         type_name = entry.get("type")
@@ -172,6 +173,10 @@ def inline_components(registry: TypeRegistry, definition: ExperimentDefinition):
             ))
         except FlowError as exc:
             raise DefinitionError(f"component {entry['name']!r}: {exc}") from exc
+    try:  # a throwaway collection, bound with no logger and never run
+        ComponentCollection(components).bind()
+    except (FlowError, ValueError) as exc:
+        raise DefinitionError(f"the components do not bind: {exc}") from exc
     return components
 
 

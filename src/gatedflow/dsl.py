@@ -116,6 +116,7 @@ class IOSets:
 # --- lexer -----------------------------------------------------------------
 
 _OPERATORS = set("+-*/=(),")
+_DIGITS = set("0123456789")  # ASCII only: str.isdigit() also takes "²" and "١"
 
 
 @dataclass(frozen=True)
@@ -143,18 +144,18 @@ def _tokenize(source: str) -> list[_Token]:
         elif ch == "#":
             while i < n and source[i] != "\n":
                 i += 1
-        elif ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        elif ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
             start = i
             startcol = col
-            while i < n and (source[i].isdigit() or source[i] == "."):
+            while i < n and (source[i] in _DIGITS or source[i] == "."):
                 i += 1
             if i < n and source[i] in "eE":
                 j = i + 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j < n and source[j].isdigit():
+                if j < n and source[j] in _DIGITS:
                     i = j
-                    while i < n and source[i].isdigit():
+                    while i < n and source[i] in _DIGITS:
                         i += 1
             text = source[start:i]
             if text.count(".") > 1:

@@ -65,6 +65,8 @@ class HyperparameterDescriptor:
             low, high = self.bounds
             if not low < high:
                 raise InvalidDescriptor(f"{self.name}: bounds must satisfy low < high")
+            if self.kind == "integer" and not (type(low) is int and type(high) is int):
+                raise InvalidDescriptor(f"{self.name}: integer bounds must be ints")
             if self.default is not None and not self.contains(self.default):
                 raise InvalidDescriptor(
                     f"{self.name}: default {self.default} outside bounds {self.bounds}"

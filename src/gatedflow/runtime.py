@@ -27,7 +27,8 @@ from types import SimpleNamespace
 
 from . import dsl
 from .channels import DEFAULT_TIMEOUT, ChannelRegistry, BindReport
-from .errors import BadOverride, ChannelPoisoned, ChannelTimeout, RegistrySealed
+from .errors import (BadOverride, ChannelPoisoned, ChannelTimeout, FlowError,
+                     RegistrySealed)
 
 
 def discard(tag, value):
@@ -126,7 +127,9 @@ def make_component(name, io_map, init_body=None, step_body=None,
     ``init_body``/``step_body`` may be script source strings or NativeBody
     instances. The override replaces external namespaces for existing keys
     only; the script text itself is never touched, which is what makes
-    graph rewiring transparent to component logic.
+    graph rewiring transparent to component logic. Two read names, or two
+    write names, on one namespace are a FlowError: one observer would serve
+    both reads, and two subjects would publish to one namespace.
     """
     effective = dict(io_map)
     if io_map_override:
@@ -148,7 +151,19 @@ def make_component(name, io_map, init_body=None, step_body=None,
             return body
         raise TypeError(f"body must be source text or NativeBody, got {body!r}")
 
-    return Component(name, effective, prep(init_body), prep(step_body), max_steps)
+    component = Component(name, effective, prep(init_body), prep(step_body),
+                          max_steps)
+    if len(set(effective.values())) == len(effective):  # one name per namespace
+        return component
+    for kind, internals in (("read", component.reads), ("write", component.writes)):
+        seen = {}
+        for internal in sorted(internals):
+            other = seen.setdefault(effective[internal], internal)
+            if other != internal:
+                raise FlowError(
+                    f"component {name!r}: {kind} names {other!r} and "
+                    f"{internal!r} share namespace {effective[internal]!r}")
+    return component
 
 
 @dataclass

@@ -7,11 +7,14 @@ same multiset as serial ones. ``local-gaussian`` explores uniformly with
 probability 0.2 and otherwise perturbs the incumbent best assignment with
 Gaussian noise of scale 0.1 x (high - low) per dimension; it depends on
 completion order, so determinism is only guaranteed at parallelism 1.
+A study's seed fixes its draws through one ``random.Random``; its
+``gauss`` is not thread-safe, so parallel trials draw under one lock.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import threading
 import uuid
 from dataclasses import dataclass, field, replace
@@ -92,8 +95,7 @@ class Study:
         self.max_steps = max_steps
         self.step_timeout = step_timeout
         self.trials: list[Trial] = []
-        import numpy as np  # here, so that importing gatedflow does not load it
-        self._rng = np.random.default_rng(seed)
+        self._rng = random.Random(seed)
 
     def header(self) -> dict:
         return {
@@ -110,13 +112,13 @@ class Study:
 
 def _sample_dimension_uniform(dim: HyperparameterDescriptor, rng) -> object:
     if dim.kind == "categorical":
-        return dim.choices[int(rng.integers(0, len(dim.choices)))]
+        return rng.choice(dim.choices)
     low, high = dim.bounds
     if dim.kind == "integer":
-        return int(rng.integers(low, high + 1))
+        return rng.randint(low, high)
     if dim.log_scale:
-        return float(10.0 ** rng.uniform(math.log10(low), math.log10(high)))
-    return float(rng.uniform(low, high))
+        return 10.0 ** rng.uniform(math.log10(low), math.log10(high))
+    return rng.uniform(low, high)
 
 
 def _sample_uniform(space: SearchSpace, rng) -> dict:
@@ -130,22 +132,20 @@ def sample(study: Study, history) -> dict:
     if study.sampler == "uniform-random":
         return _sample_uniform(space, rng)
     complete = [t for t in history if t.state == "complete"]
-    if not complete or rng.uniform() < EXPLORE_PROBABILITY:
+    if not complete or rng.random() < EXPLORE_PROBABILITY:
         return _sample_uniform(space, rng)
     incumbent = _best_of(complete, study.direction).assignment
     assignment = {}
     for dim in space.dimensions:
         base = incumbent[dim.name]
         if dim.kind == "categorical":
-            if rng.uniform() < EXPLORE_PROBABILITY:
-                assignment[dim.name] = dim.choices[
-                    int(rng.integers(0, len(dim.choices)))
-                ]
+            if rng.random() < EXPLORE_PROBABILITY:
+                assignment[dim.name] = rng.choice(dim.choices)
             else:
                 assignment[dim.name] = base
             continue
         low, high = dim.bounds
-        value = base + rng.normal(0.0, NOISE_SCALE * (high - low))
+        value = base + rng.gauss(0.0, NOISE_SCALE * (high - low))
         if dim.kind == "integer":
             value = int(round(value))
         value = min(max(value, low), high)
@@ -234,7 +234,7 @@ def run_study(study: Study, registry, store: DirectoryStore, n_trials: int,
         for i in range(n_trials):
             execute(i)
     else:
-        # here, like numpy, so that importing gatedflow does not load it
+        # here, so that importing gatedflow and serial studies do not load it
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             list(pool.map(execute, range(n_trials)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import EmptyInput, NonNumericValue
@@ -30,8 +31,13 @@ def aggregate(records, group_by=("component", "tag")):
     """Group records by key and step across runs; mean and population sigma.
 
     Steps present in only some runs are retained with a smaller n.
+    Each group's mean is its float sum over n, and its sigma is the square
+    root of the sum of squared deviations from that mean over n. Both sums
+    run left to right from 0.0, so for a group of fewer than 8 values the
+    results equal NumPy's ``mean`` and ``std`` bit for bit; from 8 values
+    NumPy sums pairwise, and the last bits may differ, as they also do
+    between NumPy builds.
     """
-    import numpy as np  # here, so that importing gatedflow does not load it
     groups: dict[tuple, dict[int, list]] = {}
     for rec in records:
         if isinstance(rec.value, bool) or not isinstance(rec.value, (int, float)):
@@ -44,11 +50,21 @@ def aggregate(records, group_by=("component", "tag")):
     for key in sorted(groups):
         series = AggregatedSeries(key)
         for step in sorted(groups[key]):
-            values = np.asarray(groups[key][step], dtype=float)
+            values = groups[key][step]
+            n = len(values)
+            # explicit loops: sum() compensates float sums from Python 3.12
+            total = 0.0
+            for value in values:
+                total += value
+            mean = total / n
+            squares = 0.0
+            for value in values:
+                deviation = value - mean
+                squares += deviation * deviation
             series.steps.append(step)
-            series.mean.append(float(np.mean(values)))
-            series.std.append(float(np.std(values)))  # population sigma
-            series.n.append(len(values))
+            series.mean.append(mean)
+            series.std.append(math.sqrt(squares / n))
+            series.n.append(n)
         out.append(series)
     return out
 

@@ -396,9 +396,15 @@ def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
     {"components": [{**COUNTER, "step": "x = 1 +"}]},
     {"components": [{**COUNTER, "init": None, "step": "x = w"}]},
     {"components": [{"type": "NoSuchType", "name": "S"}]},
+    {"components": [{**COUNTER, "step": "x = \u00b2"}]},
+    {"components": [{"name": "P", "io_map": {"x": "x", "y": "y"},
+                     "step": "x = y"}]},
+    {"components": [COUNTER, COUNTER]},
+    {"components": [COUNTER, {**COUNTER, "name": "Q"}]},
 ], ids=["args", "components", "entry", "inline-io_map", "typed-io_map",
         "no-name", "no-io_map", "init-not-text", "step-syntax",
-        "step-unassigned-name", "unknown-type"])
+        "step-unassigned-name", "unknown-type", "step-non-ascii-digit",
+        "read-with-no-writer", "repeated-name", "repeated-writer"])
 def test_malformed_experiment_definition_exits_two_before_its_run(
         root, tmp_path, capsys, doc):
     path = tmp_path / "exp.yaml"

@@ -63,6 +63,17 @@ class TestParse:
             parse("a = 1\nb = + 2")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("source, column", [
+        ("x = \u00b2", 5),        # superscript two
+        ("x = \u0661\u0662", 5),  # Arabic-Indic twelve
+        ("x = 1\u00b2", 6),
+        ("x = 1e\u0662", 6),      # "e\u0662" is a name, not an exponent
+    ])
+    def test_numbers_take_ascii_digits_only(self, source, column):
+        with pytest.raises(ScriptSyntaxError) as err:
+            parse(source)
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_precedence(self):
         ast = parse("r = a + b * c")
         assert ast.statements[0].expr == BinOp(

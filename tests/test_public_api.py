@@ -135,11 +135,12 @@ def test_eval_env_and_io_sets_carry_the_step_protocol():
 
 
 def test_import_and_a_run_leave_numpy_unloaded():
-    """Only studies and charts use numpy, and only parallel studies use
-    concurrent.futures; they import them themselves, so importing the
-    package and running a collection load neither."""
+    """gatedflow does not use numpy, and only parallel studies use
+    concurrent.futures, which they import themselves; so importing the
+    package, running a collection, aggregating and running a serial study
+    load neither."""
     script = "\n".join([
-        "import sys, gatedflow",
+        "import sys, tempfile, gatedflow",
         "unused = {'numpy', 'concurrent.futures'}",
         "assert not unused & set(sys.modules), 'loaded by the import'",
         "c = gatedflow.ComponentCollection([gatedflow.make_component(",
@@ -147,8 +148,17 @@ def test_import_and_a_run_leave_numpy_unloaded():
         "c.bind()",
         "assert c.run(max_steps=5).outcome == 'completed'",
         "assert not unused & set(sys.modules), 'loaded by the run'",
-        "assert gatedflow.aggregate([]) == []",
-        "assert 'numpy' in sys.modules, 'aggregate imports it itself'",
+        "series, = gatedflow.aggregate([",
+        "    gatedflow.MetricRecord('r', 'A', 'a', 0, 0.0, v) for v in (1, 2.5)])",
+        "assert (series.mean, series.std) == ([1.75], [0.75])",
+        "assert not unused & set(sys.modules), 'loaded by aggregate'",
+        "registry = gatedflow.register_builtin()",
+        "study = gatedflow.study_from_descriptors(registry, 'ToyStudy', seed=3)",
+        "with tempfile.TemporaryDirectory() as root:",
+        "    gatedflow.run_study(study, registry, gatedflow.DirectoryStore(root),",
+        "                        n_trials=3)",
+        "assert [t.state for t in study.trials] == ['complete'] * 3",
+        "assert not unused & set(sys.modules), 'loaded by the study'",
     ])
     src = os.path.dirname(os.path.dirname(gatedflow.__file__))
     done = subprocess.run([sys.executable, "-c", script],

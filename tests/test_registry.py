@@ -68,6 +68,13 @@ class TestDescriptorValidation:
             HyperparameterDescriptor("p", "real", default=0.5,
                                      bounds=(1.0, 0.1)).validate()
 
+    @pytest.mark.parametrize("bounds", [(2.0, 9.0), (2, 9.5), (False, 9)])
+    def test_integer_bounds_must_be_ints(self, bounds):
+        # the sampler draws with random.randint, which takes ints only
+        with pytest.raises(InvalidDescriptor):
+            HyperparameterDescriptor("w", "integer", bounds=bounds).validate()
+        HyperparameterDescriptor("w", "integer", bounds=(2, 9)).validate()
+
     def test_log_scale_needs_positive_low(self):
         with pytest.raises(InvalidDescriptor):
             HyperparameterDescriptor("p", "real", default=0.5, bounds=(0.0, 1.0),

@@ -23,6 +23,7 @@ from gatedflow.errors import (
     BadOverride,
     DivisionByZero,
     DuplicateSubject,
+    FlowError,
     IncompleteGraph,
     OracleStuck,
     RegistrySealed,
@@ -132,6 +133,30 @@ class TestMakeComponent:
     def test_body_referencing_unknown_name(self):
         with pytest.raises(UnknownInternalName):
             make_component("A", {"z": "z"}, step_body="z = w + 1")
+
+    @pytest.mark.parametrize("io_map, init, step, kind", [
+        # one observer would serve both reads, each read taking a generation
+        ({"a": "x", "b": "x", "y": "y"}, None, "y = a * 10 + b", "read"),
+        ({"a": "x", "b": "x", "y": "y"}, "y = a", "y = b", "read"),
+        ({"a": "y", "b": "y"}, None, "a = 1\nb = 2", "write"),
+        ({"b": "y", "a": "y"}, "b = 1", "a = 2", "write"),
+        ({"a": "y", "b": "y"}, None,
+         NativeBody(lambda inputs, ctx: {}, writes={"a", "b"}), "write"),
+    ], ids=["reads", "reads-across-bodies", "writes", "writes-across-bodies",
+            "native-writes"])
+    def test_two_names_on_one_namespace_are_rejected(self, io_map, init, step,
+                                                     kind):
+        with pytest.raises(FlowError) as err:
+            make_component("Q", io_map, init_body=init, step_body=step)
+        assert str(err.value) == (f"component 'Q': {kind} names 'a' and 'b' "
+                                  f"share namespace {io_map['a']!r}")
+
+    def test_a_read_and_a_write_may_share_a_namespace(self):
+        make_component("A", {"a": "x"}, init_body="a = 0", step_body="a = a + 1")
+        comp = make_component("B", {"a": "n", "b": "n"}, step_body="b = a + 1")
+        assert comp.reads == {"a"} and comp.writes == {"b"}
+        # unused io_map keys that alias a used one are not reads or writes
+        make_component("C", {"a": "x", "b": "x", "y": "y"}, step_body="y = a")
 
 
 class TestCompileOnce:

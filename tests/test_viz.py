@@ -76,11 +76,58 @@ class TestAggregate:
             for step, mean, std, n in zip(series.steps, series.mean,
                                           series.std, series.n):
                 values = expected[series.key][step]
-                bf_mean = math.fsum(values) / len(values)
-                bf_var = math.fsum((v - bf_mean) ** 2 for v in values) / len(values)
                 assert n == len(values)
-                assert mean == pytest.approx(bf_mean, rel=1e-12, abs=1e-12)
-                assert std == pytest.approx(math.sqrt(bf_var), rel=1e-9, abs=1e-12)
+                assert_near_exact_sums(values, mean, std)
+
+    def test_large_groups_stay_near_the_exact_sums(self):
+        rng = random.Random(1618)
+        for n in (8, 9, 16, 100, 257, 1000):
+            values = [rng.uniform(-100, 100) for _ in range(n)]
+            series, = aggregate([rec(f"r{i}", value=v)
+                                 for i, v in enumerate(values)])
+            assert series.n == [n]
+            assert_near_exact_sums(values, series.mean[0], series.std[0])
+
+    def test_groups_under_eight_values_equal_numpy_bit_for_bit(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(2718)
+        groups = {step: [mixed_value(rng) for _ in range(rng.randint(1, 7))]
+                  for step in range(3000)}
+        series, = aggregate([rec(f"r{i}", step=step, value=v)
+                             for step, values in groups.items()
+                             for i, v in enumerate(values)])
+        for step, mean, std in zip(series.steps, series.mean, series.std):
+            values = np.asarray(groups[step], dtype=float)
+            # repr tells -0.0 from 0.0, where == does not
+            assert repr((mean, std)) == repr(
+                (float(np.mean(values)), float(np.std(values)))), groups[step]
+
+    @pytest.mark.parametrize("values, mean, std", [
+        ([math.inf, -math.inf], math.nan, math.nan),
+        ([1e308, 1e308], math.inf, math.inf),
+        ([math.inf, 1.0], math.inf, math.nan),
+        ([math.nan, 1.0], math.nan, math.nan),
+    ])
+    def test_non_finite_groups(self, values, mean, std):
+        series, = aggregate([rec(f"r{i}", value=v) for i, v in enumerate(values)])
+        assert repr((series.mean, series.std)) == repr(([mean], [std]))
+
+
+def assert_near_exact_sums(values, mean, std):
+    exact_mean = math.fsum(values) / len(values)
+    exact_var = math.fsum((v - exact_mean) ** 2 for v in values) / len(values)
+    assert mean == pytest.approx(exact_mean, rel=1e-12, abs=1e-12)
+    assert std == pytest.approx(math.sqrt(exact_var), rel=1e-9, abs=1e-12)
+
+
+def mixed_value(rng):
+    """An int, a -0.0, or a float of magnitude 1e-20 to 1e20."""
+    kind = rng.random()
+    if kind < 0.1:
+        return -0.0
+    if kind < 0.3:
+        return rng.randint(-10**6, 10**6)
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
 
 
 class TestCsv:
