@@ -9,6 +9,7 @@ ComponentCollection ready to run.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -158,24 +159,15 @@ class TypeRegistry:
             raise UnknownType(f"subcomponent {name!r}") from None
 
 
-def _bare_name_owners(registry: TypeRegistry, experiment: ExperimentSpec):
-    """Count how many types in this experiment own each bare parameter name."""
-    owners: dict[str, int] = {}
-    seen = set()
+def _parameterised(registry: TypeRegistry, experiment: ExperimentSpec):
+    """Yield ``(prefix, spec)`` for each type the recipes parameterise, in
+    recipe order: a component under its type name, then each slot's
+    subcomponent (sorted slots) under ``Component.Subcomponent``."""
     for recipe in experiment.recipes:
-        for type_name in (recipe.target, *recipe.slots.values()):
-            if type_name in seen:
-                continue
-            seen.add(type_name)
-            spec = (
-                registry.components.get(type_name)
-                or registry.subcomponents.get(type_name)
-            )
-            if spec is None:
-                continue
-            for p in spec.params:
-                owners[p.name] = owners.get(p.name, 0) + 1
-    return owners
+        yield recipe.target, registry.component(recipe.target)
+        for slot in sorted(recipe.slots):
+            sub_spec = registry.subcomponent(recipe.slots[slot])
+            yield f"{recipe.target}.{sub_spec.name}", sub_spec
 
 
 def get_class_args(spec, exp_args, context: str = "", owners=None, consumed=None):
@@ -189,49 +181,37 @@ def get_class_args(spec, exp_args, context: str = "", owners=None, consumed=None
     exp_args = exp_args or {}
     resolved = {}
     for p in spec.params:
-        keys = []
+        keys = [f"{spec.name}.{p.name}", p.name]
         if context:
-            keys.append(f"{context}.{spec.name}.{p.name}")
-        keys.append(f"{spec.name}.{p.name}")
-        for key in keys:
-            if key in exp_args:
-                resolved[p.name] = exp_args[key]
-                if consumed is not None:
-                    consumed.add(key)
-                break
-        else:
-            if p.name in exp_args:
-                if owners is not None and owners.get(p.name, 0) >= 2:
-                    raise AmbiguousArgument(
-                        f"bare argument {p.name!r} matches parameters of multiple "
-                        f"types; use a namespaced key"
-                    )
-                resolved[p.name] = exp_args[p.name]
-                if consumed is not None:
-                    consumed.add(p.name)
-            else:
-                resolved[p.name] = p.default
+            keys.insert(0, f"{context}.{spec.name}.{p.name}")
+        key = next((k for k in keys if k in exp_args), None)
+        if key is None:
+            resolved[p.name] = p.default
+            continue
+        if key == p.name and owners is not None and owners.get(key, 0) >= 2:
+            raise AmbiguousArgument(
+                f"bare argument {key!r} matches parameters of multiple "
+                f"types; use a namespaced key"
+            )
+        resolved[p.name] = exp_args[key]
+        if consumed is not None:
+            consumed.add(key)
     return resolved
 
 
 def collect_hyperparameters(registry: TypeRegistry, experiment_name: str):
-    """Walk an experiment's recipes and emit namespaced descriptors, sorted.
+    """Return each namespaced parameter name of an experiment once, with
+    its descriptor, sorted by name; a type used twice shares its names.
 
     Descriptors without bounds stay in the list but are flagged fixed; the
     study engine keeps them at their defaults.
     """
     experiment = registry.experiment(experiment_name)
-    collected = []
-    for recipe in experiment.recipes:
-        comp_spec = registry.component(recipe.target)
-        for p in comp_spec.params:
-            collected.append((f"{recipe.target}.{p.name}", p))
-        for slot in sorted(recipe.slots):
-            sub_spec = registry.subcomponent(recipe.slots[slot])
-            for p in sub_spec.params:
-                collected.append((f"{recipe.target}.{sub_spec.name}.{p.name}", p))
-    collected.sort(key=lambda item: item[0])
-    return collected
+    collected = {}
+    for prefix, spec in _parameterised(registry, experiment):
+        for p in spec.params:
+            collected.setdefault(f"{prefix}.{p.name}", p)
+    return sorted(collected.items())
 
 
 def build_experiment(registry: TypeRegistry, name: str, exp_args=None,
@@ -239,7 +219,9 @@ def build_experiment(registry: TypeRegistry, name: str, exp_args=None,
     """Instantiate, wire, and bind a registered experiment."""
     experiment = registry.experiment(name)
     exp_args = dict(exp_args or {})
-    owners = _bare_name_owners(registry, experiment)
+    # a bare name is ambiguous when two distinct registered types take it
+    specs = {id(spec): spec for _, spec in _parameterised(registry, experiment)}
+    owners = Counter(p.name for spec in specs.values() for p in spec.params)
     consumed: set[str] = set()
     components = []
     for recipe in experiment.recipes:

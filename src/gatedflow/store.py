@@ -503,6 +503,4 @@ def open_run(store: DirectoryStore, experiment: str, seed=None, args=None,
         "seed": seed,
         "args": dict(args or {}),
     }
-    logger = RunLogger(store, meta, spool=spool, chunk=chunk, interval=interval)
-    meta["run_id"] = logger.run_id
-    return logger
+    return RunLogger(store, meta, spool=spool, chunk=chunk, interval=interval)

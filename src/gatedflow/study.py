@@ -116,8 +116,9 @@ def _sample_dimension_uniform(dim: HyperparameterDescriptor, rng) -> object:
     low, high = dim.bounds
     if dim.kind == "integer":
         return rng.randint(low, high)
-    if dim.log_scale:
-        return 10.0 ** rng.uniform(math.log10(low), math.log10(high))
+    if dim.log_scale:  # 10 ** log10(x) may land one ulp outside
+        value = 10.0 ** rng.uniform(math.log10(low), math.log10(high))
+        return min(max(value, low), high)
     return rng.uniform(low, high)
 
 

@@ -85,9 +85,10 @@ def export_csv(series: AggregatedSeries, path):
 
 
 def _parse_number(text: str):
-    if any(c in text for c in ".eE") and text not in ("", "-"):
+    try:
+        return int(text)
+    except ValueError:
         return float(text)
-    return int(text)
 
 
 def read_csv(path) -> AggregatedSeries:

@@ -90,6 +90,19 @@ class TestFlagGeneration:
                 _parse_experiment_args(registry, "Wide", ["--W.width", other])
             assert exc.value.code == EXIT_USAGE
 
+    def test_integer_flag_parses_to_an_int_inside_its_bounds(self, registry):
+        registry.register("component", ComponentSpec("W", {}, params=[
+            HyperparameterDescriptor("width", "integer", default=4, bounds=(2, 9))]))
+        registry.register("experiment", ExperimentSpec("Wide", [FactoryRecipe("W")]))
+        for value in (2, 5, 9):
+            parsed = _parse_experiment_args(registry, "Wide", ["--W.width", str(value)])
+            assert parsed == {"W.width": value}
+            assert type(parsed["W.width"]) is int
+        for other in ("1", "10", "4.0", "x"):
+            with pytest.raises(SystemExit) as exc:
+                _parse_experiment_args(registry, "Wide", ["--W.width", other])
+            assert exc.value.code == EXIT_USAGE
+
     def test_unbounded_parameter_gets_an_unvalidated_flag(self, registry):
         for text in ("-2.5", "0", "1e9"):
             parsed = _parse_experiment_args(
@@ -575,7 +588,8 @@ class TestModuleEntry:
     @staticmethod
     def run_module(module, *argv):
         src = os.path.dirname(os.path.dirname(gatedflow.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path}
         return subprocess.run([sys.executable, "-m", module, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
 

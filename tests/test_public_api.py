@@ -18,6 +18,15 @@ import pytest
 import gatedflow
 from gatedflow import cli
 
+
+def child_env():
+    """The parent's environment with ``src`` put first on ``PYTHONPATH``,
+    so a child interpreter imports this gatedflow and what the parent can."""
+    src = os.path.dirname(os.path.dirname(gatedflow.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 PUBLIC_NAMES = [
     "AggregatedSeries", "BindReport", "ChannelRegistry", "Component",
     "ComponentCollection", "ComponentSpec", "DirectoryStore", "EvalEnv",
@@ -61,12 +70,11 @@ def test_exit_codes():
 def test_a_signalled_run_closes_as_stopped(tmp_path, signum, code):
     """``run`` stopped by a signal closes its run and exits 128 + signum;
     every (component, tag) it logged has steps 0..n with no gap."""
-    src = os.path.dirname(os.path.dirname(gatedflow.__file__))
     root = tmp_path / "store"
     proc = subprocess.Popen(
         [sys.executable, "-m", "gatedflow", "run", "ToyExperimentPlain",
          "--max-steps", "100000000", "--store-root", str(root)],
-        env={**os.environ, "PYTHONPATH": src},
+        env=child_env(),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 60
@@ -160,8 +168,6 @@ def test_import_and_a_run_leave_numpy_unloaded():
         "assert [t.state for t in study.trials] == ['complete'] * 3",
         "assert not unused & set(sys.modules), 'loaded by the study'",
     ])
-    src = os.path.dirname(os.path.dirname(gatedflow.__file__))
-    done = subprocess.run([sys.executable, "-c", script],
-                          env={**os.environ, "PYTHONPATH": src},
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -3,6 +3,7 @@
 import pytest
 
 from gatedflow import build_experiment, collect_hyperparameters
+from gatedflow.cli import _parse_experiment_args
 from gatedflow.errors import (
     AmbiguousArgument,
     DuplicateRegistration,
@@ -20,6 +21,7 @@ from gatedflow.registry import (
     TypeRegistry,
     get_class_args,
 )
+from gatedflow.study import sample, study_from_descriptors
 
 from tracelog import TraceLogger
 
@@ -84,6 +86,20 @@ class TestDescriptorValidation:
         with pytest.raises(InvalidDescriptor):
             HyperparameterDescriptor("p", "categorical", default="x",
                                      choices=["a", "b"]).validate()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "boolean"}, "unknown kind"),
+        ({"kind": "categorical", "bounds": (0, 1)}, "not bounds"),
+        ({"kind": "categorical", "default": "a", "choices": ["a"]},
+         "at least 2 choices"),
+        ({"kind": "categorical", "log_scale": True}, "numeric-only"),
+        ({"kind": "integer", "choices": [1, 2]}, "categorical-only"),
+        ({"kind": "real", "log_scale": True}, "needs bounds"),
+    ], ids=["unknown-kind", "categorical-bounds", "one-choice",
+            "categorical-log", "numeric-choices", "log-unbounded"])
+    def test_malformed_descriptor_rejected(self, fields, message):
+        with pytest.raises(InvalidDescriptor, match=message):
+            HyperparameterDescriptor("p", **fields).validate()
 
     def test_unbounded_descriptor_is_fixed(self):
         d = HyperparameterDescriptor("target", "real", default=0.12)
@@ -213,3 +229,97 @@ class TestBuildExperiment:
         collection.run(max_steps=1)
         assert logger.sequences(collection.components)["beta"] == \
             [pytest.approx((1 + 10.0) * 0.2)]
+
+
+class TestTypeUsedTwice:
+    """A type used twice shares its namespaced names: one flag, one study
+    dimension and one value; a bare name two registered types take is
+    ambiguous, whichever tier each is in."""
+
+    def shared_scalers(self, registry):
+        registry.register("experiment", ExperimentSpec(
+            name="SharedScalers",
+            recipes=[
+                FactoryRecipe("AlphaSource", name="Source"),
+                FactoryRecipe("ComponentF", name="F",
+                              slots={"subA": "SubcomponentA",
+                                     "subB": "SubcomponentA"}),
+            ],
+        ))
+        return "SharedScalers"
+
+    def two_objectives(self, registry):
+        registry.register("experiment", ExperimentSpec(
+            name="TwoObjectives",
+            recipes=[
+                FactoryRecipe("AlphaSource", name="Source"),
+                FactoryRecipe("ComponentF", name="F",
+                              slots={"subA": "SubcomponentA",
+                                     "subB": "SubcomponentB"}),
+                FactoryRecipe("ProductObjective", name="O1"),
+                FactoryRecipe("ProductObjective", name="O2"),
+            ],
+        ))
+        return "TwoObjectives"
+
+    def test_one_subcomponent_in_two_slots_is_one_parameter(self, registry):
+        name = self.shared_scalers(registry)
+        flag = "ComponentF.SubcomponentA.scaler"
+        assert [n for n, _ in collect_hyperparameters(registry, name)] == [flag]
+        args = _parse_experiment_args(registry, name, [f"--{flag}", "0.5"])
+        assert args == {flag: 0.5}
+        logger = TraceLogger()
+        collection = build_experiment(registry, name, args, logger=logger)
+        collection.run(max_steps=1)
+        # both slots scale by 0.5
+        assert logger.sequences(collection.components)["beta"] == [0.25]
+
+    def test_one_component_in_two_recipes_is_one_parameter(self, registry):
+        name = self.two_objectives(registry)
+        names = [n for n, _ in collect_hyperparameters(registry, name)]
+        assert names.count("ProductObjective.target") == 1
+        args = _parse_experiment_args(
+            registry, name, ["--ProductObjective.target", "0.5"])
+        assert args == {"ProductObjective.target": 0.5}
+        logger = TraceLogger()
+        build_experiment(registry, name, args, logger=logger).run(max_steps=1)
+        # beta is 1 * 0.1 * 0.2, and each objective records |beta - 0.5|
+        for owner in ("O1", "O2"):
+            assert logger.records[(owner, "objective")] == \
+                [pytest.approx(0.48)]
+
+    def test_a_study_draws_a_shared_name_once(self, registry):
+        study = study_from_descriptors(registry, self.shared_scalers(registry),
+                                       seed=1)
+        assert study.header()["dimensions"] == ["ComponentF.SubcomponentA.scaler"]
+        assert list(sample(study, [])) == ["ComponentF.SubcomponentA.scaler"]
+
+    def same_named_tiers(self, with_component):
+        reg = TypeRegistry()
+        q = [HyperparameterDescriptor("q", "real", default=1.0)]
+        reg.register("subcomponent", SubcomponentSpec(
+            name="Shared", make=lambda q: (lambda v: v * q), params=q))
+        reg.register("subcomponent", SubcomponentSpec(
+            name="Other", make=lambda q: (lambda v: v * q), params=list(q)))
+        reg.register("component", ComponentSpec(
+            name="User", io_map={"u": "u"}, init="u = 1\n", step="",
+            slots=["first", "second"]))
+        recipes = [FactoryRecipe("User",
+                                 slots={"first": "Shared", "second": "Other"})]
+        if with_component:
+            reg.register("component", ComponentSpec(
+                name="Shared", io_map={"s": "s"}, init="s = 1\n", step="",
+                params=[HyperparameterDescriptor("p", "real", default=0.0)]))
+            recipes.insert(0, FactoryRecipe("Shared"))
+        reg.register("experiment", ExperimentSpec(name="Tiers", recipes=recipes))
+        return reg
+
+    @pytest.mark.parametrize("with_component", [False, True],
+                             ids=["alone", "beside-a-same-named-component"])
+    def test_bare_name_of_two_subcomponents_is_ambiguous(self, with_component):
+        reg = self.same_named_tiers(with_component)
+        with pytest.raises(AmbiguousArgument):
+            build_experiment(reg, "Tiers", {"q": 5.0})
+        build_experiment(reg, "Tiers", {"User.Shared.q": 5.0, "Other.q": 2.0})
+        if with_component:
+            build_experiment(reg, "Tiers", {"p": 3.0})

@@ -477,6 +477,7 @@ class TestRunLogger:
         assert meta["outcome"] == "completed"
         assert meta["seed"] == 5
         assert meta["args"] == {"k": 1}
+        assert meta["run_id"] == run.run_id
 
     def test_mark_failed_closes_or_rewrites_the_outcome(self, store):
         closed = open_run(store, "Toy", seed=5)

@@ -15,6 +15,7 @@ from gatedflow.study import (
     SearchSpace,
     Study,
     Trial,
+    _sample_dimension_uniform,
     best_trial,
     build_search_space,
     run_study,
@@ -83,6 +84,17 @@ class TestSamplers:
         # uniform in log10 over (1e-4, 1e-1) puts the median near 10**-2.5
         median = sorted(draws)[500]
         assert 1e-3 < median < 1e-2
+
+    @pytest.mark.parametrize("bounds, end", [((0.001, 0.2), 1), ((0.3, 5.0), 0)],
+                             ids=["high", "low"])
+    def test_log_scale_draw_at_an_end_stays_in_bounds(self, bounds, end):
+        # 10 ** log10(0.2) > 0.2 and 10 ** log10(0.3) < 0.3 by one ulp
+        class EndRng:
+            def uniform(self, a, b):
+                return (a, b)[end]
+
+        dim = HyperparameterDescriptor("lr", "real", bounds=bounds, log_scale=True)
+        assert _sample_dimension_uniform(dim, EndRng()) == bounds[end]
 
     def test_same_seed_same_draws(self):
         first = Study("X", self.wide_space(), seed=42)
