@@ -7,11 +7,12 @@ namespaced parameter. stdout carries data (JSON lines); diagnostics go to
 stderr.
 
 Exit codes are a stable contract: 0 ok, 2 usage, 3 deadlock timeout,
-4 runtime error, 5 store I/O. A definition file whose inline components
-cannot be built (an unknown type, a script that does not parse or check)
-exits 2 before ``run`` opens a run; a body error raised while the run runs
-exits 4. ``run`` stopped by SIGINT or SIGTERM closes
-its run as ``stopped`` and exits 128 + the signal's number: 130 or 143.
+4 runtime error, 5 store I/O. A definition file that is not UTF-8 YAML,
+has a name that is not a string, or names an experiment, registered or
+inline, that cannot be built or bound exits 2 before ``run`` opens a run;
+a body error raised while the run runs exits 4. ``run`` stopped by SIGINT
+or SIGTERM closes its run as ``stopped`` and exits 128 + the signal's
+number: 130 or 143.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import contextlib
 import json
 import os
-import re
 import shlex
 import signal
 import sys
@@ -33,7 +33,7 @@ from .oracle import oracle_run
 from .registry import build_experiment, collect_hyperparameters
 from .runtime import ComponentCollection
 from .store import DirectoryStore, merge_spool, open_run, query
-from .study import best_trial, run_study, study_from_descriptors
+from .study import best_trial, run_study
 from .viz import aggregate, export_csv, render_svg
 
 EXIT_OK = 0
@@ -59,21 +59,20 @@ def _flag_type(desc):
     return convert
 
 
-# argparse takes "-5" and "-2.5" as values but "-1e6" as an option
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-
-
 def _attach_negative_values(rest) -> list:
-    """Join each negative number to the flag before it, ``--x -1e6`` to
-    ``--x=-1e6``: every parameter flag takes exactly one value."""
+    """Join each negative number ``float()`` reads to the flag before it,
+    ``--x -1e6`` to ``--x=-1e6``, as argparse takes ``-1e6`` or ``-inf`` for
+    an option: every parameter flag takes exactly one value, and its
+    converter decides whether it takes that number."""
     joined = []
     for token in rest:
         flag = joined[-1] if joined else ""
-        if (flag.startswith("--") and "=" not in flag
-                and _NEGATIVE_NUMBER.fullmatch(token)):
-            joined[-1] = f"{flag}={token}"
-        else:
-            joined.append(token)
+        if flag.startswith("--") and "=" not in flag and token.startswith("-"):
+            with contextlib.suppress(ValueError):
+                float(token)
+                joined[-1] = f"{flag}={token}"
+                continue
+        joined.append(token)
     return joined
 
 
@@ -115,7 +114,7 @@ def cmd_run(args, rest) -> int:
     if os.path.exists(args.experiment):
         exp_def = defs.load_experiment_definition(args.experiment)
     else:
-        exp_def = defs.ExperimentDefinition(args.experiment, None, {}, None, None)
+        exp_def = defs.ExperimentDefinition(args.experiment)
     default_steps = None
     if exp_def.experiment is not None:
         exp_def.args.update(_parse_experiment_args(registry, exp_def.experiment, rest))
@@ -132,22 +131,16 @@ def cmd_run(args, rest) -> int:
     if max_steps is None:
         print("a step bound is required: pass --max-steps", file=sys.stderr)
         return EXIT_USAGE
-    # inline components that cannot be built or bound exit 2 before a run opens
-    components = (defs.inline_components(registry, exp_def)
-                  if exp_def.experiment is None else None)
+    # an experiment that cannot be built or bound exits 2 before a run opens
+    components = defs.build_components(registry, exp_def)
 
     store, spool = _make_stores(args)
     run = open_run(store, exp_def.label, seed=args.seed, args=exp_def.args,
                    spool=spool)
     try:
-        if components is None:
-            collection = build_experiment(
-                registry, exp_def.experiment, exp_def.args, logger=run,
-                step_timeout=exp_def.step_timeout)
-        else:
-            collection = ComponentCollection(
-                components, logger=run, step_timeout=exp_def.step_timeout)
-            collection.bind()
+        collection = ComponentCollection(
+            components, logger=run, step_timeout=exp_def.step_timeout)
+        collection.bind()
         with _stop_on_signals(collection) as signals:
             report = collection.run(max_steps=max_steps)
     except Exception:
@@ -203,33 +196,11 @@ def _stop_on_signals(collection):
         restore()
 
 
-def _build_study(registry, definition, study_def, seed):
-    """The Study a study file describes; a setting it rejects is a
-    DefinitionError naming the file."""
-    try:
-        return study_from_descriptors(
-            registry, study_def.experiment,
-            direction=study_def.direction,
-            objective_tag=study_def.objective_tag,
-            reduce=study_def.reduce,
-            sampler=study_def.sampler,
-            seed=seed,
-            max_steps=study_def.max_steps,
-            step_timeout=study_def.step_timeout,
-        )
-    except ValueError as exc:  # a direction, reducer or sampler Study rejects
-        raise defs.DefinitionError(f"{definition}: {exc}") from exc
-
-
 def cmd_study(args, rest) -> int:
     registry = register_builtin()
-    study_def = defs.load_study_definition(args.definition)
-    n_trials = args.n_trials if args.n_trials is not None else study_def.n_trials
-    seed = args.seed if args.seed is not None else study_def.seed
-    parallelism = (args.parallelism if args.parallelism is not None
-                   else study_def.parallelism)
-    defs._check_study_counts(seed, n_trials, parallelism)
-    study = _build_study(registry, args.definition, study_def, seed)
+    study, n_trials, parallelism = defs.load_study(
+        args.definition, registry, seed=args.seed, n_trials=args.n_trials,
+        parallelism=args.parallelism)
     store, spool = _make_stores(args)
     run_study(study, registry, store, n_trials, parallelism=parallelism,
               spool=spool)
@@ -307,10 +278,9 @@ def cmd_merge_spool(args, rest) -> int:
 
 
 def cmd_emit_batch_script(args, rest) -> int:
-    study_def = defs.load_study_definition(args.definition)
     # each array task builds this Study: a file it rejects gets no script
-    _build_study(register_builtin(), args.definition, study_def, study_def.seed)
-    n_trials = args.n_trials if args.n_trials is not None else study_def.n_trials
+    study, n_trials, _ = defs.load_study(args.definition, register_builtin(),
+                                         n_trials=args.n_trials)
     if n_trials <= 0:
         print("cannot partition a study with no trials", file=sys.stderr)
         return EXIT_USAGE
@@ -322,7 +292,6 @@ def cmd_emit_batch_script(args, rest) -> int:
     counts = [base + (1 if i < n_trials % partitions else 0)
               for i in range(partitions)]
     offsets = [sum(counts[:i]) for i in range(partitions)]
-    seed = study_def.seed
     lines = ["#!/bin/sh"]
     for header in args.header or []:
         lines.append(header)
@@ -332,14 +301,14 @@ def cmd_emit_batch_script(args, rest) -> int:
     if args.spool_root is not None:
         roots += f" --spool-root {shlex.quote(args.spool_root)}"
     if partitions == 1:
-        lines.append(f"{command} --n-trials {n_trials} --seed {seed} {roots}")
+        lines.append(f"{command} --n-trials {n_trials} --seed {study.seed} {roots}")
     else:
         lines.append(f"#ARRAY 0-{partitions - 1}")
         lines.append('IDX="${ARRAY_INDEX:-0}"')
         lines.append("case \"$IDX\" in")
         for i in range(partitions):
             lines.append(
-                f"  {i}) COUNT={counts[i]} SEED={seed + offsets[i]} ;;"
+                f"  {i}) COUNT={counts[i]} SEED={study.seed + offsets[i]} ;;"
             )
         lines.append("  *) echo \"bad array index $IDX\" >&2; exit 2 ;;")
         lines.append("esac")

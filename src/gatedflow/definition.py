@@ -34,13 +34,14 @@ Study definitions:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import yaml
 
 from .errors import FlowError
-from .registry import TypeRegistry
+from .registry import TypeRegistry, build_experiment
 from .runtime import ComponentCollection, make_component
+from .study import Study, study_from_descriptors
 
 
 class DefinitionError(FlowError):
@@ -48,11 +49,19 @@ class DefinitionError(FlowError):
 
 
 def load_document(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise DefinitionError(f"{path}: not a UTF-8 YAML document: {exc}") from exc
     if not isinstance(doc, dict):
         raise DefinitionError(f"{path}: expected a mapping at top level")
     return doc
+
+
+def _check_name(field, value):
+    if not isinstance(value, str):
+        raise DefinitionError(f"{field} must be a string, got {value!r}")
 
 
 def _check_int(field, value, minimum=None):
@@ -73,20 +82,13 @@ def _check_limits(max_steps, step_timeout):
             f"step_timeout must be a positive number, got {step_timeout!r}")
 
 
-def _check_study_counts(seed, n_trials, parallelism):
-    """Reject a study seed, trial count or parallelism the study cannot use."""
-    _check_int("seed", seed)
-    _check_int("n_trials", n_trials, 0)
-    _check_int("parallelism", parallelism, 1)
-
-
 @dataclass
 class ExperimentDefinition:
-    experiment: str | None  # registered name, or None for inline components
-    components: list | None
-    args: dict
-    max_steps: int | None
-    step_timeout: float | None
+    experiment: str | None = None  # registered name, or None for inline components
+    components: list | None = None
+    args: dict = field(default_factory=dict)
+    max_steps: int | None = None
+    step_timeout: float | None = None
 
     @property
     def label(self) -> str:
@@ -102,10 +104,16 @@ def _check_entry(entry):
     """Reject a component entry whose shape cannot become a component."""
     if not isinstance(entry, dict) or "name" not in entry:
         raise DefinitionError(f"component entry needs a 'name': {entry!r}")
+    _check_name("component name", entry["name"])
+    if entry.get("type") is not None:
+        _check_name(f"type of {entry['name']!r}", entry["type"])
     _check_limits(entry.get("max_steps"), None)
     io_map = entry.get("io_map")
     if io_map is not None:
         _check_mapping(f"io_map of {entry['name']!r}", io_map)
+        for internal, namespace in io_map.items():
+            _check_name(f"io_map name of {entry['name']!r}", internal)
+            _check_name(f"io_map namespace of {entry['name']!r}", namespace)
     if not io_map and entry.get("type") is None:
         raise DefinitionError(f"inline component {entry['name']!r} needs an io_map")
     for body in ("init", "step"):
@@ -126,11 +134,15 @@ def load_experiment_definition(path) -> ExperimentDefinition:
     _check_limits(doc.get("max_steps"), doc.get("step_timeout"))
     args = doc.get("args") or {}
     _check_mapping("args", args)
+    for name in args:
+        _check_name("args name", name)
     if components is not None:
         if not isinstance(components, list):
             raise DefinitionError(f"components must be a list, got {components!r}")
         for entry in components:
             _check_entry(entry)
+    else:
+        _check_name("experiment", experiment)
     return ExperimentDefinition(
         experiment=experiment,
         components=components,
@@ -140,12 +152,19 @@ def load_experiment_definition(path) -> ExperimentDefinition:
     )
 
 
-def inline_components(registry: TypeRegistry, definition: ExperimentDefinition):
-    """Build the components a definition declares inline. An entry with an
-    unknown type, a type that needs a factory, or a script that does not
-    parse or check is a DefinitionError, and so is a set of components that
-    cannot bind (a repeated name or written namespace, or a read namespace
-    no one writes), so a caller can build them before it opens a run."""
+def build_components(registry: TypeRegistry, definition: ExperimentDefinition):
+    """Build the components of a registered or inline definition and bind
+    them once with no logger, so a caller can reject them before it opens a
+    run. A failure of either step (an unknown type, a script that does not
+    parse or check, an unused argument, a repeated name or written
+    namespace, a read namespace no one writes) is a DefinitionError."""
+    if definition.experiment is not None:
+        try:
+            return build_experiment(registry, definition.experiment,
+                                    definition.args).components
+        except FlowError as exc:
+            raise DefinitionError(
+                f"experiment {definition.experiment!r}: {exc}") from exc
     components = []
     for entry in definition.components:
         type_name = entry.get("type")
@@ -173,46 +192,45 @@ def inline_components(registry: TypeRegistry, definition: ExperimentDefinition):
             ))
         except FlowError as exc:
             raise DefinitionError(f"component {entry['name']!r}: {exc}") from exc
-    try:  # a throwaway collection, bound with no logger and never run
+    try:
         ComponentCollection(components).bind()
     except (FlowError, ValueError) as exc:
         raise DefinitionError(f"the components do not bind: {exc}") from exc
     return components
 
 
-@dataclass
-class StudyDefinition:
-    experiment: str
-    direction: str
-    objective_tag: str
-    reduce: str
-    sampler: str
-    seed: int
-    n_trials: int
-    parallelism: int
-    max_steps: int | None
-    step_timeout: float | None
-
-
-def load_study_definition(path) -> StudyDefinition:
+def load_study(path, registry: TypeRegistry, seed=None, n_trials=None,
+               parallelism=None) -> tuple[Study, int, int]:
+    """The Study a study file describes, its trial count and its
+    parallelism. A flag argument that is not None replaces the file's
+    value, and both are checked. Only the settings the file makes reach the
+    Study, which holds their defaults; a setting it rejects is a
+    DefinitionError naming the file."""
     doc = load_document(path)
     if "experiment" not in doc:
         raise DefinitionError(f"{path}: study definition needs 'experiment'")
+    _check_name("experiment", doc["experiment"])
     _check_limits(doc.get("max_steps"), doc.get("step_timeout"))
     objective = doc.get("objective") or {}
     _check_mapping("objective", objective)
-    definition = StudyDefinition(
-        experiment=doc["experiment"],
-        direction=doc.get("direction", "minimize"),
-        objective_tag=objective.get("tag", "objective"),
-        reduce=objective.get("reduce", "last"),
-        sampler=doc.get("sampler", "uniform-random"),
-        seed=doc.get("seed", 0),
-        n_trials=doc.get("n_trials", 0),
-        parallelism=doc.get("parallelism", 1),
-        max_steps=doc.get("max_steps"),
-        step_timeout=doc.get("step_timeout"),
-    )
-    _check_study_counts(definition.seed, definition.n_trials,
-                        definition.parallelism)
-    return definition
+    keys = ("direction", "sampler", "seed", "n_trials", "parallelism",
+            "max_steps", "step_timeout")
+    settings = {key: doc[key] for key in keys if key in doc}
+    for key, setting in (("tag", "objective_tag"), ("reduce", "reduce")):
+        if key in objective:
+            _check_name(f"objective {key}", objective[key])
+            settings[setting] = objective[key]
+    for key, flag, minimum in (("seed", seed, None), ("n_trials", n_trials, 0),
+                               ("parallelism", parallelism, 1)):
+        if key in settings:  # checked also when the flag replaces it
+            _check_int(key, settings[key], minimum)
+        if flag is not None:
+            _check_int(key, flag, minimum)
+            settings[key] = flag
+    n_trials = settings.pop("n_trials", 0)
+    parallelism = settings.pop("parallelism", 1)
+    try:
+        study = study_from_descriptors(registry, doc["experiment"], **settings)
+    except ValueError as exc:  # a direction, reducer or sampler Study rejects
+        raise DefinitionError(f"{path}: {exc}") from exc
+    return study, n_trials, parallelism

@@ -22,13 +22,14 @@ from dataclasses import dataclass, field, replace
 from .errors import NoCompleteTrials, StudyAborted
 from .registry import HyperparameterDescriptor, build_experiment, collect_hyperparameters
 from .store import RECORD_ORDER, DirectoryStore, open_run, query
+from .viz import left_sum
 
 EXPLORE_PROBABILITY = 0.2
 NOISE_SCALE = 0.1
 
 REDUCERS = {
     "last": lambda values: values[-1],
-    "mean": lambda values: sum(values) / len(values),
+    "mean": lambda values: left_sum(values) / len(values),
     "max": max,
     "min": min,
 }

@@ -27,6 +27,16 @@ class AggregatedSeries:
         return "/".join(str(k) for k in self.key)
 
 
+def left_sum(values) -> float:
+    """The float sum of ``values`` from 0.0, left to right. The built-in
+    ``sum()`` compensates float sums from Python 3.12, so its last bits
+    depend on the interpreter; these do not."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def aggregate(records, group_by=("component", "tag")):
     """Group records by key and step across runs; mean and population sigma.
 
@@ -52,12 +62,8 @@ def aggregate(records, group_by=("component", "tag")):
         for step in sorted(groups[key]):
             values = groups[key][step]
             n = len(values)
-            # explicit loops: sum() compensates float sums from Python 3.12
-            total = 0.0
-            for value in values:
-                total += value
-            mean = total / n
-            squares = 0.0
+            mean = left_sum(values) / n
+            squares = 0.0  # a loop: a generator into left_sum costs twice as much
             for value in values:
                 deviation = value - mean
                 squares += deviation * deviation

@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+import yaml
 
 import gatedflow
 from gatedflow.cli import (
@@ -110,10 +111,12 @@ class TestFlagGeneration:
             assert parsed == {"ProductObjective.target": float(text)}
 
     def test_negative_values_in_exponent_form(self, registry):
-        for text in ("-1e6", "-2.5E-3", "-1.e+2", "-.5e1"):
+        for text in ("-1e6", "-2.5E-3", "-1.e+2", "-.5e1",
+                     "-inf", "-nan", "-Infinity"):
             parsed = _parse_experiment_args(
                 registry, "ToyStudy", ["--ProductObjective.target", text])
-            assert parsed == {"ProductObjective.target": float(text)}
+            # repr, since nan equals nothing
+            assert repr(parsed) == repr({"ProductObjective.target": float(text)})
 
     def test_run_takes_a_negative_value_in_exponent_form(self, root, capsys):
         code = run_cli("run", "ToyStudy", "--ProductObjective.target", "-1e6",
@@ -189,6 +192,15 @@ class TestRun:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["outcome"] == "timeout"
         assert captured.err.count("blocked:") == 3
+
+    def test_max_steps_flag_overrides_definition(self, root, tmp_path,
+                                                 capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text(json.dumps({"components": [COUNTER], "max_steps": 5}))
+        code = run_cli("run", str(path), "--max-steps", "2",
+                       "--store-root", root)
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["steps"] == {"P": 2}
 
     def test_step_timeout_flag_overrides_definition(self, root, tmp_path,
                                                     capsys):
@@ -285,6 +297,22 @@ class TestStudy:
         trials = store.read_trials(store.list_studies()[0])
         assert len(trials) == 5
         assert sorted(t["seed"] for t in trials) == [3, 4, 5, 6, 7]
+
+    def test_parallelism_flag_overrides_definition(self, root, tmp_path,
+                                                   monkeypatch):
+        import gatedflow.cli
+        seen = []
+        real = gatedflow.cli.run_study
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["parallelism"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gatedflow.cli, "run_study", spy)
+        path = study_definition(tmp_path, n_trials=2, parallelism=1)
+        assert run_cli("study", path, "--parallelism", "2",
+                       "--store-root", root) == EXIT_OK
+        assert seen == [2]
 
     def test_missing_definition_file(self, root):
         assert run_cli("study", "/nonexistent.yaml",
@@ -383,12 +411,53 @@ def test_bad_flags_exit_two(root, tmp_path, capsys, command, flags):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, fields, flags", [
+    ("run", {"max_steps": -1}, ["--max-steps", "3"]),
+    ("study", {"n_trials": -1}, ["--n-trials", "2"]),
+    ("study", {"parallelism": 0}, ["--parallelism", "1"]),
+    ("study", {"seed": "7"}, ["--seed", "3"]),
+], ids=["max_steps", "n_trials", "parallelism", "seed"])
+def test_a_bad_file_value_exits_two_though_a_flag_replaces_it(
+        root, tmp_path, capsys, command, fields, flags):
+    if command == "run":
+        path = tmp_path / "exp.yaml"
+        path.write_text(json.dumps({"components": [COUNTER], **fields}))
+    else:
+        path = study_definition(tmp_path, **{"n_trials": 2, **fields})
+    assert run_cli(command, str(path), *flags, "--store-root", root) == EXIT_USAGE
+    assert repr(next(iter(fields.values()))) in capsys.readouterr().err
+    store = DirectoryStore(root)
+    assert store.list_runs() == [] and store.list_studies() == []
+
+
+@pytest.mark.parametrize("command", ["run", "study", "emit-batch-script"])
+@pytest.mark.parametrize("content", [b"components: [\n  - name: A\n",
+                                     b"\xff\xfeexperiment: ToyStudy\n"],
+                         ids=["not-yaml", "not-utf-8"])
+def test_a_file_that_is_not_utf8_yaml_exits_two(root, tmp_path, capsys,
+                                                command, content):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(content)
+    out = tmp_path / "submit.sh"
+    extra = ["--out", str(out)] if command == "emit-batch-script" else []
+    assert run_cli(command, str(path), *extra, "--store-root", root) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(path) in err
+    store = DirectoryStore(root)
+    assert store.list_runs() == [] and store.list_studies() == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fields, bad", [
     ({"direction": "sideways"}, "sideways"),
     ({"objective": {"reduce": "median"}}, "median"),
     ({"sampler": "annealing"}, "annealing"),
     ({"objective": "last"}, "last"),
-], ids=["direction", "reduce", "sampler", "objective"])
+    ({"experiment": [1]}, [1]),
+    ({"objective": {"tag": [1]}}, [1]),
+    ({"objective": {"reduce": [1]}}, [1]),
+], ids=["direction", "reduce", "sampler", "objective", "experiment-not-text",
+        "tag-not-text", "reduce-not-text"])
 def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
     path = study_definition(tmp_path, n_trials=2, **fields)
     assert run_cli("study", path, "--store-root", root) == EXIT_USAGE
@@ -414,14 +483,29 @@ def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
                      "step": "x = y"}]},
     {"components": [COUNTER, COUNTER]},
     {"components": [COUNTER, {**COUNTER, "name": "Q"}]},
+    {"experiment": "ToyExperiment", "args": {"nosuch": 1}},
+    {"experiment": "ToyExperimentF", "args": {"scaler": 0.5}},
+    {"experiment": [1]},
+    {"experiment": "ToyExperiment", "args": {1: 2}},
+    {"components": [{**COUNTER, "name": [1]}]},
+    {"components": [{**COUNTER, "name": 7}]},
+    {"components": [{**COUNTER, "io_map": {"x": "x", 1: "y"}}]},
+    {"components": [{**COUNTER, "io_map": {"x": [1]}}]},
+    {"components": [{"type": "AlphaSource", "name": "S",
+                     "io_map": {"alpha": [1]}}]},
+    {"components": [{"type": [1], "name": "S"}]},
 ], ids=["args", "components", "entry", "inline-io_map", "typed-io_map",
         "no-name", "no-io_map", "init-not-text", "step-syntax",
         "step-unassigned-name", "unknown-type", "step-non-ascii-digit",
-        "read-with-no-writer", "repeated-name", "repeated-writer"])
+        "read-with-no-writer", "repeated-name", "repeated-writer",
+        "unused-argument", "ambiguous-argument", "experiment-not-text",
+        "args-name-not-text", "name-not-text", "name-a-number",
+        "io_map-name-not-text", "io_map-namespace-not-text",
+        "typed-io_map-namespace-not-text", "type-not-text"])
 def test_malformed_experiment_definition_exits_two_before_its_run(
         root, tmp_path, capsys, doc):
     path = tmp_path / "exp.yaml"
-    path.write_text(json.dumps({**doc, "max_steps": 3}))
+    path.write_text(yaml.safe_dump({**doc, "max_steps": 3}))
     assert run_cli("run", str(path), "--store-root", root) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
     assert DirectoryStore(root).list_runs() == []
@@ -565,6 +649,13 @@ class TestEmitBatchScript:
         argv = ["study", path, "--n-trials", count, "--seed", seed,
                 "--store-root", store, "--spool-root", spool]
         assert done.stdout == "".join(f"[{arg}]\n" for arg in argv)
+
+    def test_n_trials_flag_overrides_definition(self, root, tmp_path):
+        path = study_definition(tmp_path, n_trials=6)
+        out = tmp_path / "submit.sh"
+        assert run_cli("emit-batch-script", path, "--n-trials", "4",
+                       "--out", str(out), "--store-root", root) == EXIT_OK
+        assert "--n-trials 4 " in out.read_text()
 
     def test_zero_trials_rejected(self, root, tmp_path):
         path = study_definition(tmp_path, n_trials=0)

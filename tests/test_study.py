@@ -160,6 +160,20 @@ class TestBestTrial:
             best_trial(study)
 
 
+@pytest.mark.parametrize("values", [[0.1] * 10, [1e16, 1.0, -1e16]],
+                         ids=["tenths", "cancelling"])
+def test_mean_reducer_sums_as_aggregate_does(values):
+    """A study's ``mean`` objective equals ``aggregate``'s mean of the same
+    values bit for bit, on every interpreter: from 3.12 the built-in
+    ``sum()`` compensates float sums and would differ in the last bits."""
+    from gatedflow.store import MetricRecord
+    from gatedflow.study import REDUCERS
+    from gatedflow.viz import aggregate
+    records = [MetricRecord("r", "c", "t", 0, 0.0, v) for v in values]
+    series, = aggregate(records)
+    assert repr(REDUCERS["mean"](values)) == repr(series.mean[0])
+
+
 class TestRunStudy:
     def make_study(self, registry, seed=7, **kwargs):
         return study_from_descriptors(registry, "ToyStudy", seed=seed,
