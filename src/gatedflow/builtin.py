@@ -100,8 +100,7 @@ def register_builtin(registry: TypeRegistry | None = None) -> TypeRegistry:
                                          default=OBJECTIVE_TARGET)],
     ))
 
-    remap_c = FactoryRecipe("ComponentC", name="C",
-                            extra_args={"io_map": {"alpha": "beta"}})
+    remap_c = FactoryRecipe("ComponentC", name="C", io_map={"alpha": "beta"})
 
     registry.register("experiment", ExperimentSpec(
         name="ToyExperiment",

@@ -7,10 +7,13 @@ namespaced parameter. stdout carries data (JSON lines); diagnostics go to
 stderr.
 
 Exit codes are a stable contract: 0 ok, 2 usage, 3 deadlock timeout,
-4 runtime error, 5 store I/O. A definition file that is not UTF-8 YAML,
-has a name that is not a string, or names an experiment, registered or
+4 runtime error, 5 store I/O. A definition file that cannot be read, is
+not UTF-8 YAML, has a name that is not a string, gives an ``args`` value
+its parameter's bounds refuse, or names an experiment, registered or
 inline, that cannot be built or bound exits 2 before ``run`` opens a run;
-a body error raised while the run runs exits 4. ``run`` stopped by SIGINT
+a study that neither its file nor its experiment gives a step bound
+exits 2 before ``study`` or ``emit-batch-script`` writes anything; a
+body error raised while the run runs exits 4. ``run`` stopped by SIGINT
 or SIGTERM closes its run as ``stopped`` and exits 128 + the signal's
 number: 130 or 143.
 """
@@ -90,6 +93,13 @@ def _parse_experiment_args(registry, experiment, rest) -> dict:
 def _add_store_flags(parser):
     parser.add_argument("--store-root", default="./flow-store")
     parser.add_argument("--spool-root", default=None)
+
+
+def _add_selection_flags(parser):
+    parser.add_argument("--tag", default=None)
+    parser.add_argument("--runs", default=None, help="comma-separated run ids")
+    parser.add_argument("--experiment", default=None)
+    parser.add_argument("--group-by", default="component,tag")
 
 
 def _make_stores(args):
@@ -355,10 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_list, partial=False)
 
     p = sub.add_parser("export", help="export aggregated CSV (or raw records)")
-    p.add_argument("--tag", default=None)
-    p.add_argument("--runs", default=None, help="comma-separated run ids")
-    p.add_argument("--experiment", default=None)
-    p.add_argument("--group-by", default="component,tag")
+    _add_selection_flags(p)
     p.add_argument("--raw", action="store_true")
     p.add_argument("--strip-walltime", action="store_true")
     p.add_argument("--out", required=True)
@@ -366,10 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_export, partial=False)
 
     p = sub.add_parser("plot", help="render an SVG chart with deviation bands")
-    p.add_argument("--tag", default=None)
-    p.add_argument("--runs", default=None)
-    p.add_argument("--experiment", default=None)
-    p.add_argument("--group-by", default="component,tag")
+    _add_selection_flags(p)
     p.add_argument("--title", default=None)
     p.add_argument("--out", required=True)
     _add_store_flags(p)

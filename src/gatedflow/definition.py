@@ -52,6 +52,8 @@ def load_document(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
+    except OSError as exc:
+        raise DefinitionError(f"{path}: cannot read the file: {exc}") from exc
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise DefinitionError(f"{path}: not a UTF-8 YAML document: {exc}") from exc
     if not isinstance(doc, dict):
@@ -204,7 +206,8 @@ def load_study(path, registry: TypeRegistry, seed=None, n_trials=None,
     """The Study a study file describes, its trial count and its
     parallelism. A flag argument that is not None replaces the file's
     value, and both are checked. Only the settings the file makes reach the
-    Study, which holds their defaults; a setting it rejects is a
+    Study, which holds their defaults; a setting it rejects, or a study
+    whose file and experiment both leave the step bound unset, is a
     DefinitionError naming the file."""
     doc = load_document(path)
     if "experiment" not in doc:
@@ -233,4 +236,7 @@ def load_study(path, registry: TypeRegistry, seed=None, n_trials=None,
         study = study_from_descriptors(registry, doc["experiment"], **settings)
     except ValueError as exc:  # a direction, reducer or sampler Study rejects
         raise DefinitionError(f"{path}: {exc}") from exc
+    if study.max_steps is None and (
+            registry.experiment(study.experiment).default_max_steps is None):
+        raise DefinitionError(f"{path}: a step bound is required: set max_steps")
     return study, n_trials, parallelism

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DivisionByZero,
@@ -54,7 +54,6 @@ class Num:
 @dataclass(frozen=True)
 class Name:
     ident: str
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ Expr = Num | Name | Neg | BinOp
 class Assign:
     target: str
     expr: Expr
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,6 @@ class CallAssign:
     target: str
     callee: str
     args: tuple[Expr, ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 Statement = Assign | CallAssign
@@ -242,11 +239,8 @@ class _Parser:
                     self.advance()
                     args.append(self.parse_expr())
             self.expect_op(")")
-            return CallAssign(
-                target.text, callee.text, tuple(args), (target.line, target.col)
-            )
-        expr = self.parse_expr()
-        return Assign(target.text, expr, (target.line, target.col))
+            return CallAssign(target.text, callee.text, tuple(args))
+        return Assign(target.text, self.parse_expr())
 
     def parse_expr(self) -> Expr:
         left = self.parse_term()
@@ -277,7 +271,7 @@ class _Parser:
             return Num(int(tok.text))
         if tok.kind == "IDENT":
             self.advance()
-            return Name(tok.text, (tok.line, tok.col))
+            return Name(tok.text)
         if self.at_op("("):
             self.advance()
             expr = self.parse_expr()

@@ -110,6 +110,10 @@ class AmbiguousArgument(FlowError):
     pass
 
 
+class ArgumentOutOfBounds(FlowError):
+    """A supplied value that its bounded descriptor does not contain."""
+
+
 class UnknownExperiment(FlowError):
     pass
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     AmbiguousArgument,
+    ArgumentOutOfBounds,
     DuplicateRegistration,
     InvalidDescriptor,
     UnknownExperiment,
@@ -37,11 +38,16 @@ class HyperparameterDescriptor:
         return self.bounds is not None or self.choices is not None
 
     def contains(self, value) -> bool:
-        """Whether ``value`` is one of the choices or inside the inclusive
-        bounds; an unbounded descriptor admits any value."""
+        """Whether ``value`` is one of the choices, or a number of the
+        descriptor's kind inside the inclusive bounds: an int for an
+        integer, an int or a float for a real, and never a bool. An
+        unbounded descriptor admits any value."""
         if self.choices is not None:
             return value in self.choices
         if self.bounds is not None:
+            number = int if self.kind == "integer" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, number):
+                return False
             low, high = self.bounds
             return low <= value <= high
         return True
@@ -105,7 +111,7 @@ class FactoryRecipe:
     target: str  # registered component type name
     name: str | None = None  # instance/owner name; defaults to target
     slots: dict[str, str] = field(default_factory=dict)  # slot -> subcomponent type
-    extra_args: dict = field(default_factory=dict)  # e.g. {"io_map": {...}}
+    io_map: dict | None = None  # io_map override: internal name -> namespace
 
     @property
     def instance_name(self) -> str:
@@ -176,7 +182,8 @@ def get_class_args(spec, exp_args, context: str = "", owners=None, consumed=None
     Lookup order per parameter: the fully namespaced key
     ``context.TypeName.param`` (when a context is given), then
     ``TypeName.param``, then the bare ``param`` when unambiguous across the
-    experiment, then the declared default.
+    experiment, then the declared default. A supplied value that a bounded
+    descriptor does not contain raises ArgumentOutOfBounds.
     """
     exp_args = exp_args or {}
     resolved = {}
@@ -193,7 +200,12 @@ def get_class_args(spec, exp_args, context: str = "", owners=None, consumed=None
                 f"bare argument {key!r} matches parameters of multiple "
                 f"types; use a namespaced key"
             )
-        resolved[p.name] = exp_args[key]
+        value = exp_args[key]
+        if not p.contains(value):
+            raise ArgumentOutOfBounds(
+                f"argument {key!r}: {value!r} is not a {p.kind} value in "
+                f"{p.choices or p.bounds}")
+        resolved[p.name] = value
         if consumed is not None:
             consumed.add(key)
     return resolved
@@ -244,7 +256,7 @@ def build_experiment(registry: TypeRegistry, name: str, exp_args=None,
                 io_map=comp_spec.io_map,
                 init_body=init_body,
                 step_body=step_body,
-                io_map_override=recipe.extra_args.get("io_map"),
+                io_map_override=recipe.io_map,
                 subcomponents=subs,
             )
         )

@@ -115,11 +115,15 @@ def new_run_id() -> str:
     return time.strftime("%Y%m%dT%H%M%S") + "-" + uuid.uuid4().hex[:8]
 
 
-def _atomic_write(path: str, content: str):
+def _write_json(directory: str, name: str, doc: dict):
+    """Replace ``directory/name`` with the indented JSON of ``doc`` atomically."""
+    os.makedirs(directory, exist_ok=True)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    path = os.path.join(directory, name)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(content)
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -127,6 +131,19 @@ def _atomic_write(path: str, content: str):
         with contextlib.suppress(OSError):  # keep the original error
             os.remove(tmp)
         raise
+
+
+def _read_json(directory: str, name: str) -> dict:
+    with open(os.path.join(directory, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _subdirs(path: str) -> list:
+    """The sorted names of the directories in ``path``; none if it is absent."""
+    if not os.path.isdir(path):
+        return []
+    return sorted(d for d in os.listdir(path)
+                  if os.path.isdir(os.path.join(path, d)))
 
 
 def _append(path: str, text: str):
@@ -184,16 +201,10 @@ class DirectoryStore:
         _append(self._metrics_path(run_id), "\n".join(lines) + "\n")
 
     def write_meta(self, run_id: str, meta: dict):
-        os.makedirs(self.run_dir(run_id), exist_ok=True)
-        _atomic_write(
-            os.path.join(self.run_dir(run_id), "meta.json"),
-            json.dumps(meta, indent=2, sort_keys=True) + "\n",
-        )
+        _write_json(self.run_dir(run_id), "meta.json", meta)
 
     def read_meta(self, run_id: str) -> dict:
-        with open(os.path.join(self.run_dir(run_id), "meta.json"),
-                  encoding="utf-8") as fh:
-            return json.load(fh)
+        return _read_json(self.run_dir(run_id), "meta.json")
 
     # -- studies ------------------------------------------------------------
 
@@ -201,43 +212,26 @@ class DirectoryStore:
         return os.path.join(self.root, "studies", study_id)
 
     def write_study(self, study_id: str, header: dict):
-        os.makedirs(self.study_dir(study_id), exist_ok=True)
-        _atomic_write(
-            os.path.join(self.study_dir(study_id), "study.json"),
-            json.dumps(header, indent=2, sort_keys=True) + "\n",
-        )
+        _write_json(self.study_dir(study_id), "study.json", header)
 
     def append_trial(self, study_id: str, trial: dict):
         _append(os.path.join(self.study_dir(study_id), "trials.ndjson"),
                 json.dumps(trial, sort_keys=True) + "\n")
 
     def read_study(self, study_id: str) -> dict:
-        with open(os.path.join(self.study_dir(study_id), "study.json"),
-                  encoding="utf-8") as fh:
-            return json.load(fh)
+        return _read_json(self.study_dir(study_id), "study.json")
 
     def read_trials(self, study_id: str):
         path = os.path.join(self.study_dir(study_id), "trials.ndjson")
         return [json.loads(line) for line in _read_lines(path)]
 
     def list_studies(self):
-        studies = os.path.join(self.root, "studies")
-        if not os.path.isdir(studies):
-            return []
-        return sorted(
-            d for d in os.listdir(studies)
-            if os.path.isdir(os.path.join(studies, d))
-        )
+        return _subdirs(os.path.join(self.root, "studies"))
 
     # -- reads --------------------------------------------------------------
 
     def list_runs(self):
-        runs = self.runs_dir()
-        if not os.path.isdir(runs):
-            return []
-        return sorted(
-            d for d in os.listdir(runs) if os.path.isdir(os.path.join(runs, d))
-        )
+        return _subdirs(self.runs_dir())
 
     def read_records(self, run_id: str):
         return [MetricRecord.from_line(run_id, line)

@@ -17,7 +17,7 @@ import math
 import random
 import threading
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import NoCompleteTrials, StudyAborted
 from .registry import HyperparameterDescriptor, build_experiment, collect_hyperparameters
@@ -63,14 +63,7 @@ class Trial:
     run_id: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "assignment": self.assignment,
-            "state": self.state,
-            "objective": self.objective,
-            "seed": self.seed,
-            "run_id": self.run_id,
-        }
+        return asdict(self)
 
 
 class Study:
@@ -119,8 +112,9 @@ def _sample_dimension_uniform(dim: HyperparameterDescriptor, rng) -> object:
         return rng.randint(low, high)
     if dim.log_scale:  # 10 ** log10(x) may land one ulp outside
         value = 10.0 ** rng.uniform(math.log10(low), math.log10(high))
-        return min(max(value, low), high)
-    return rng.uniform(low, high)
+    else:  # low + (high - low) * random() may round past high
+        value = rng.uniform(low, high)
+    return min(max(value, low), high)
 
 
 def _sample_uniform(space: SearchSpace, rng) -> dict:
@@ -174,17 +168,19 @@ def run_study(study: Study, registry, store: DirectoryStore, n_trials: int,
 
     A failed trial (body error, deadlock timeout) is recorded and skipped;
     the study only aborts if every one of the first min(10, n_trials)
-    trials fails.
+    trials fails. A study that neither it nor its experiment gives a step
+    bound raises ValueError before anything is written.
     """
     reducer = REDUCERS[study.reduce]
     ledger_lock = threading.Lock()
     sampler_lock = threading.Lock()
-    store.write_study(study.study_id, study.header())
-
-    exp_spec = registry.experiment(study.experiment)
     max_steps = study.max_steps
     if max_steps is None:
-        max_steps = exp_spec.default_max_steps
+        max_steps = registry.experiment(study.experiment).default_max_steps
+    if max_steps is None:  # every trial would run forever
+        raise ValueError(f"study {study.study_id}: a step bound is required: "
+                         f"{study.experiment} sets no default_max_steps")
+    store.write_study(study.study_id, study.header())
 
     preassigned = None
     if study.sampler == "uniform-random":

@@ -115,22 +115,21 @@ def read_csv(path) -> AggregatedSeries:
     return series
 
 
-def _extent(values, margin=MARGIN_FRACTION):
+def _extent(values):
     low, high = min(values), max(values)
     span = high - low
     if span == 0:
         span = abs(high) if high != 0 else 1.0
-    return low - margin * span, high + margin * span
+    return low - MARGIN_FRACTION * span, high + MARGIN_FRACTION * span
 
 
-def render_svg(series_list, title="", x_label="step", y_label="value",
-               width=SVG_WIDTH, height=SVG_HEIGHT, palette=None) -> str:
+def render_svg(series_list, title="") -> str:
     """Emit a static SVG: one mean line plus a translucent +/- sigma band per
     series. Pure function of its inputs; byte-identical across invocations."""
     series_list = sorted(series_list, key=lambda s: s.key)
     if not series_list:
         raise EmptyInput("no series to render")
-    palette = palette or PALETTE
+    width, height = SVG_WIDTH, SVG_HEIGHT
     xs = [s for series in series_list for s in series.steps]
     ys = [m + sign * sd
           for series in series_list
@@ -166,14 +165,14 @@ def render_svg(series_list, title="", x_label="step", y_label="value",
         )
     parts.append(
         f'<text x="{width / 2:.1f}" y="{height - 15}" text-anchor="middle" '
-        f'font-size="12">{x_label}</text>'
+        f'font-size="12">step</text>'
     )
     parts.append(
         f'<text x="18" y="{height / 2:.1f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 18 {height / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 18 {height / 2:.1f})">value</text>'
     )
     for idx, series in enumerate(series_list):
-        color = palette[idx % len(palette)]
+        color = PALETTE[idx % len(PALETTE)]
         upper = [pt(x, m + sd) for x, m, sd in
                  zip(series.steps, series.mean, series.std)]
         lower = [pt(x, m - sd) for x, m, sd in

@@ -314,9 +314,25 @@ class TestStudy:
                        "--store-root", root) == EXIT_OK
         assert seen == [2]
 
-    def test_missing_definition_file(self, root):
+    def test_missing_definition_file(self, root, capsys):
         assert run_cli("study", "/nonexistent.yaml",
-                       "--store-root", root) in (EXIT_USAGE, EXIT_STORE)
+                       "--store-root", root) == EXIT_USAGE
+        assert "usage error: /nonexistent.yaml" in capsys.readouterr().err
+        assert DirectoryStore(root).list_studies() == []
+
+    def test_a_study_with_no_step_bound_exits_two(self, root, tmp_path):
+        # in a child with a timeout: a study without a bound never ends
+        path = tmp_path / "study.yaml"
+        path.write_text("experiment: ToyExperimentPlain\nn_trials: 1\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "gatedflow", "study", str(path),
+             "--store-root", root],
+            env=TestModuleEntry.child_env(), capture_output=True, text=True,
+            timeout=30)
+        assert done.returncode == EXIT_USAGE, done.stderr
+        assert "step bound is required" in done.stderr
+        store = DirectoryStore(root)
+        assert store.list_runs() == [] and store.list_studies() == []
 
     def test_unknown_flag_exits_two(self, root, tmp_path, capsys):
         path = study_definition(tmp_path, n_trials=2)
@@ -448,6 +464,20 @@ def test_a_file_that_is_not_utf8_yaml_exits_two(root, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "study", "emit-batch-script"])
+def test_a_definition_path_that_is_a_directory_exits_two(root, tmp_path,
+                                                         capsys, command):
+    path = tmp_path / "adir"
+    path.mkdir()
+    out = tmp_path / "submit.sh"
+    extra = ["--out", str(out)] if command == "emit-batch-script" else []
+    assert run_cli(command, str(path), *extra, "--store-root", root) == EXIT_USAGE
+    assert f"usage error: {path}: cannot read" in capsys.readouterr().err
+    store = DirectoryStore(root)
+    assert store.list_runs() == [] and store.list_studies() == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fields, bad", [
     ({"direction": "sideways"}, "sideways"),
     ({"objective": {"reduce": "median"}}, "median"),
@@ -494,6 +524,12 @@ def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
     {"components": [{"type": "AlphaSource", "name": "S",
                      "io_map": {"alpha": [1]}}]},
     {"components": [{"type": [1], "name": "S"}]},
+    {"experiment": "ToyStudy",
+     "args": {"ComponentF.SubcomponentA.scaler": 5.0}},
+    {"experiment": "ToyStudy",
+     "args": {"ComponentF.SubcomponentA.scaler": "abc"}},
+    {"experiment": "ToyStudy",
+     "args": {"ComponentF.SubcomponentA.scaler": True}},
 ], ids=["args", "components", "entry", "inline-io_map", "typed-io_map",
         "no-name", "no-io_map", "init-not-text", "step-syntax",
         "step-unassigned-name", "unknown-type", "step-non-ascii-digit",
@@ -501,7 +537,8 @@ def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
         "unused-argument", "ambiguous-argument", "experiment-not-text",
         "args-name-not-text", "name-not-text", "name-a-number",
         "io_map-name-not-text", "io_map-namespace-not-text",
-        "typed-io_map-namespace-not-text", "type-not-text"])
+        "typed-io_map-namespace-not-text", "type-not-text",
+        "arg-out-of-bounds", "arg-not-a-number", "arg-a-bool"])
 def test_malformed_experiment_definition_exits_two_before_its_run(
         root, tmp_path, capsys, doc):
     path = tmp_path / "exp.yaml"
@@ -672,17 +709,31 @@ class TestEmitBatchScript:
         assert "usage error" in err and "'sideways'" in err
         assert not out.exists()
 
+    def test_a_study_with_no_step_bound_gets_no_script(self, root, tmp_path,
+                                                       capsys):
+        path = study_definition(tmp_path, experiment="ToyExperimentPlain",
+                                n_trials=4)
+        out = tmp_path / "submit.sh"
+        assert run_cli("emit-batch-script", path, "--out", str(out),
+                       "--store-root", root) == EXIT_USAGE
+        assert "step bound is required" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestModuleEntry:
     """``python -m gatedflow`` and ``python -m gatedflow.cli`` run the CLI."""
 
     @staticmethod
-    def run_module(module, *argv):
+    def child_env():
         src = os.path.dirname(os.path.dirname(gatedflow.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = {**os.environ, "PYTHONPATH": path}
-        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        return {**os.environ, "PYTHONPATH": path}
+
+    @classmethod
+    def run_module(cls, module, *argv):
+        return subprocess.run([sys.executable, "-m", module, *argv],
+                              env=cls.child_env(), capture_output=True,
+                              text=True, timeout=120)
 
     @pytest.mark.parametrize("module", ["gatedflow", "gatedflow.cli"])
     def test_list_prints_the_listing(self, module):

@@ -39,6 +39,17 @@ class TestHandCheckedTraces:
             oracle_run(components, 3)
         assert err.value.components == ["A", "B", "C"]
 
+    def test_an_init_body_that_reads_is_stuck(self):
+        components = [
+            make_component("A", {"x": "x", "y": "y"}, init_body="y = x",
+                           step_body="y = x"),
+            make_component("B", {"x": "x", "y": "y"}, init_body="x = 1",
+                           step_body="x = y"),
+        ]
+        with pytest.raises(OracleStuck) as err:
+            oracle_run(components, 2)
+        assert err.value.components == ["A"]
+
 
 class TestConfluence:
     def test_scan_order_does_not_change_sequences(self, registry):

@@ -5,10 +5,13 @@ has to be made here too, on purpose.
 """
 
 import argparse
+import glob
 import inspect
 import json
 import os
+import shutil
 import signal
+import site
 import subprocess
 import sys
 import time
@@ -99,9 +102,61 @@ def test_a_signalled_run_closes_as_stopped(tmp_path, signum, code):
         assert seen == list(range(len(seen))), key
 
 
+def other_pythons() -> dict:
+    """Each other CPython >= 3.10 found beside this one (a sibling
+    ``versions/3.*/bin/python`` of ``sys.base_prefix``, as pyenv lays them
+    out) or on PATH as ``python3.1x``, by version; a candidate that cannot
+    report its version, such as a shim for a version not installed, is left
+    out."""
+    versions = os.path.dirname(sys.base_prefix)
+    candidates = sorted(glob.glob(os.path.join(versions, "3.*", "bin", "python")))
+    candidates += filter(None, (shutil.which(f"python3.{minor}")
+                                for minor in range(10, 20)))
+    found = {}
+    for exe in candidates:
+        try:
+            done = subprocess.run(
+                [exe, "-c", "import platform, sys; "
+                 "print(platform.python_implementation(), *sys.version_info[:3])"],
+                capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        fields = done.stdout.split()
+        if done.returncode != 0 or len(fields) != 4 or fields[0] != "CPython":
+            continue
+        version = tuple(map(int, fields[1:]))
+        if version >= (3, 10) and version != tuple(sys.version_info[:3]):
+            found.setdefault(version, exe)
+    return found
+
+
+def test_other_pythons_run_and_study(tmp_path):
+    """``run`` and a 2-trial study complete under every other CPython >= 3.10
+    found, with this interpreter's site-packages on its path."""
+    pythons = other_pythons()
+    if not pythons:
+        pytest.skip("no other CPython >= 3.10 found")
+    env = child_env()
+    env["PYTHONPATH"] = os.pathsep.join([env["PYTHONPATH"],
+                                         *site.getsitepackages()])
+    study = tmp_path / "study.yaml"
+    study.write_text("experiment: ToyStudy\nn_trials: 2\n")
+    for version, exe in sorted(pythons.items()):
+        root = str(tmp_path / ".".join(map(str, version)))
+        for argv in (["run", "ToyExperimentPlain", "--max-steps", "3"],
+                     ["study", str(study)]):
+            done = subprocess.run([exe, "-m", "gatedflow", *argv,
+                                   "--store-root", root], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (version, argv, done.stderr)
+        store = gatedflow.DirectoryStore(root)
+        assert len(store.list_runs()) == 3 and len(store.list_studies()) == 1
+
+
 # Signatures that changed on purpose: the step timeout is fixed when a
 # collection is built, each channel wait uses the timeout copied at seal,
-# and a run logger always makes its own run id.
+# a run logger always makes its own run id, and a chart's labels, size and
+# colours are fixed.
 @pytest.mark.parametrize("fn, params", [
     (gatedflow.ComponentCollection.run, "(self, max_steps=None)"),
     (gatedflow.ComponentCollection.signal_stop, "(self)"),
@@ -117,8 +172,9 @@ def test_a_signalled_run_closes_as_stopped(tmp_path, signum, code):
     (gatedflow.open_run,
      "(store: 'DirectoryStore', experiment: 'str', seed=None, args=None, "
      "spool=None, chunk=256, interval=1.0)"),
+    (gatedflow.render_svg, "(series_list, title='')"),
 ], ids=["run", "signal_stop", "collection", "registry", "publish", "observe",
-        "RunLogger", "open_run"])
+        "RunLogger", "open_run", "render_svg"])
 def test_pinned_signatures(fn, params):
     signature = inspect.signature(fn).replace(
         return_annotation=inspect.Signature.empty)

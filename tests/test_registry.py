@@ -6,6 +6,7 @@ from gatedflow import build_experiment, collect_hyperparameters
 from gatedflow.cli import _parse_experiment_args
 from gatedflow.errors import (
     AmbiguousArgument,
+    ArgumentOutOfBounds,
     DuplicateRegistration,
     InvalidDescriptor,
     UnknownExperiment,
@@ -77,6 +78,28 @@ class TestDescriptorValidation:
             HyperparameterDescriptor("w", "integer", bounds=bounds).validate()
         HyperparameterDescriptor("w", "integer", bounds=(2, 9)).validate()
 
+    @pytest.mark.parametrize("kind, bounds, value, inside", [
+        ("real", (0.1, 1.0), 0.5, True),
+        ("real", (0.1, 1.0), 1, True),
+        ("real", (0.1, 1.0), "abc", False),
+        ("real", (0.1, 1.0), True, False),
+        ("real", (0.1, 1.0), None, False),
+        ("real", (0.1, 1.0), float("nan"), False),
+        ("integer", (0, 9), 3, True),
+        ("integer", (0, 9), 3.0, False),
+        ("integer", (0, 9), False, False),
+        ("integer", (0, 9), "3", False),
+    ])
+    def test_contains_takes_numbers_of_its_kind_only(self, kind, bounds,
+                                                     value, inside):
+        desc = HyperparameterDescriptor("p", kind, bounds=bounds)
+        assert desc.contains(value) is inside
+
+    def test_integer_default_must_be_an_int(self):
+        with pytest.raises(InvalidDescriptor, match="outside bounds"):
+            HyperparameterDescriptor("w", "integer", default=3.0,
+                                     bounds=(2, 9)).validate()
+
     def test_log_scale_needs_positive_low(self):
         with pytest.raises(InvalidDescriptor):
             HyperparameterDescriptor("p", "real", default=0.5, bounds=(0.0, 1.0),
@@ -141,6 +164,11 @@ class TestGetClassArgs:
 
     def test_default_when_absent(self):
         assert get_class_args(self.spec(), {}) == {"scaler": 0.1}
+
+    @pytest.mark.parametrize("value", [5.0, "abc", True])
+    def test_a_value_its_descriptor_refuses_raises(self, value):
+        with pytest.raises(ArgumentOutOfBounds, match="'SubcomponentA.scaler'"):
+            get_class_args(self.spec(), {"SubcomponentA.scaler": value})
 
     def test_consumed_tracks_used_keys(self):
         consumed = set()

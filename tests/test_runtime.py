@@ -134,6 +134,12 @@ class TestMakeComponent:
         with pytest.raises(UnknownInternalName):
             make_component("A", {"z": "z"}, step_body="z = w + 1")
 
+    def test_native_body_naming_what_its_io_map_lacks(self):
+        with pytest.raises(UnknownInternalName,
+                           match="absent from io_map: q, r$"):
+            make_component("P", {"a": "a"}, step_body=NativeBody(
+                lambda inputs, ctx: {}, reads={"q"}, writes={"a", "r"}))
+
     @pytest.mark.parametrize("io_map, init, step, kind", [
         # one observer would serve both reads, each read taking a generation
         ({"a": "x", "b": "x", "y": "y"}, None, "y = a * 10 + b", "read"),

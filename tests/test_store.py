@@ -17,6 +17,7 @@ import gatedflow.store
 from gatedflow import (
     ComponentCollection,
     NativeBody,
+    Trial,
     build_experiment,
     make_component,
 )
@@ -86,6 +87,28 @@ class TestDirectoryStore:
         assert os.listdir(store.run_dir("r1")) == ["meta.json"]
         assert store.read_meta("r1") == {"seed": 1}
         assert os.listdir(store.study_dir("s1")) == []
+
+    def test_documents_keep_their_bytes(self, store):
+        store.write_meta("r1", {"seed": 3, "experiment": "Toy",
+                                "args": {"b": 1.5, "a": None}})
+        store.write_study("s1", {"study_id": "s1", "dimensions": ["x"]})
+        store.append_trial("s1", Trial(0, {"x": 0.5}, state="complete",
+                                       objective=0.25, seed=7,
+                                       run_id="r1").to_json())
+        files = [os.path.join(store.run_dir("r1"), "meta.json"),
+                 os.path.join(store.study_dir("s1"), "study.json"),
+                 os.path.join(store.study_dir("s1"), "trials.ndjson")]
+        contents = []
+        for path in files:
+            with open(path, "rb") as fh:
+                contents.append(fh.read())
+        assert contents == [
+            b'{\n  "args": {\n    "a": null,\n    "b": 1.5\n  },\n'
+            b'  "experiment": "Toy",\n  "seed": 3\n}\n',
+            b'{\n  "dimensions": [\n    "x"\n  ],\n  "study_id": "s1"\n}\n',
+            b'{"assignment": {"x": 0.5}, "objective": 0.25, "run_id": "r1", '
+            b'"seed": 7, "state": "complete", "trial_id": 0}\n',
+        ]
 
     def test_list_runs_sorted(self, store):
         store.append_records("r2", to_lines(make_records("r2", 1)))
@@ -311,6 +334,11 @@ class TestQuery:
         self.fill(store)
         keys = [r.key for r in query(store)]
         assert keys == sorted(keys)
+
+    def test_experiment_filter_skips_a_run_without_readable_meta(self, store):
+        self.fill(store)
+        store.append_records("r3", to_lines(make_records("r3", 5)))  # no meta
+        assert {r.run_id for r in query(store, experiment="Toy")} == {"r1"}
 
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(PrimaryUnavailable):
@@ -718,6 +746,15 @@ class TestSpoolFailover:
         assert (report.merged, report.skipped) == (10, 0)
         merged = store.read_records(run.run_id)
         assert sorted(r.step for r in merged) == list(range(30))
+
+    def test_meta_diverts_to_spool_when_the_primary_refuses_it(self, store,
+                                                              spool):
+        run = open_run(store, "Toy", spool=spool, interval=60.0)
+        # a directory where meta.json goes: replacing it fails
+        os.makedirs(os.path.join(store.run_dir(run.run_id), "meta.json"))
+        run.close()
+        assert spool.read_meta(run.run_id)["outcome"] == "completed"
+        assert os.listdir(store.run_dir(run.run_id)) == ["meta.json"]
 
     def test_without_spool_failure_propagates(self, store, monkeypatch):
         fail = set()

@@ -1,5 +1,7 @@
 """Search spaces, samplers, and end-to-end study execution."""
 
+import math
+
 import pytest
 
 from gatedflow import (
@@ -96,6 +98,15 @@ class TestSamplers:
         dim = HyperparameterDescriptor("lr", "real", bounds=bounds, log_scale=True)
         assert _sample_dimension_uniform(dim, EndRng()) == bounds[end]
 
+    @pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
+    def test_uniform_draw_rounded_past_an_end_stays_in_bounds(self, end):
+        class PastRng:  # what rounding in low + (high - low) * random() allows
+            def uniform(self, a, b):
+                return math.nextafter((a, b)[end], (-math.inf, math.inf)[end])
+
+        dim = HyperparameterDescriptor("ratio", "real", bounds=(0.1, 1.0))
+        assert _sample_dimension_uniform(dim, PastRng()) == dim.bounds[end]
+
     def test_same_seed_same_draws(self):
         first = Study("X", self.wide_space(), seed=42)
         second = Study("X", self.wide_space(), seed=42)
@@ -116,6 +127,27 @@ class TestSamplers:
                 near += 1
         # roughly 80% exploit draws, each within 3 sigma of the incumbent
         assert near > 700
+
+    def test_local_gaussian_perturbs_integers_and_categories(self):
+        space = SearchSpace(dimensions=[
+            HyperparameterDescriptor("width", "integer", bounds=(2, 9)),
+            HyperparameterDescriptor("mode", "categorical", choices=["a", "b", "c"]),
+        ])
+        study = Study("X", space, sampler="local-gaussian", seed=3)
+        incumbent = Trial(0, {"width": 5, "mode": "b"}, state="complete",
+                          objective=0.01)
+        draws = [sample(study, [incumbent]) for _ in range(1000)]
+        for assignment in draws:
+            for dim in space.dimensions:
+                assert dim.contains(assignment[dim.name])
+            assert type(assignment["width"]) is int
+        widths = [a["width"] for a in draws]
+        modes = [a["mode"] for a in draws]
+        assert set(widths) == set(range(2, 10)) and set(modes) == {"a", "b", "c"}
+        # an exploit draw keeps the incumbent's category 4 times in 5, and
+        # moves its integer by round(N(0, 0.7)), 0 about half the time
+        assert modes.count("b") > 650
+        assert widths.count(5) > 350
 
     def test_local_gaussian_explores_without_history(self):
         space = two_scaler_space()
@@ -326,6 +358,17 @@ class TestRunStudy:
             records = query(store, run_ids=[trial.run_id],
                             tag=study.objective_tag)
             assert trial.objective == float(reduce([r.value for r in records]))
+
+    def test_a_study_with_no_step_bound_raises_before_writing(
+            self, registry, store, monkeypatch):
+        def no_run(*args, **kwargs):  # a run would never end
+            raise AssertionError("a trial opened a run")
+
+        monkeypatch.setattr("gatedflow.study.open_run", no_run)
+        study = study_from_descriptors(registry, "ToyExperimentPlain")
+        with pytest.raises(ValueError, match="step bound is required"):
+            run_study(study, registry, store, n_trials=1)
+        assert store.list_studies() == [] and store.list_runs() == []
 
     def test_zero_trials_is_a_no_op(self, registry, store):
         study = self.make_study(registry)

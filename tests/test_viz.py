@@ -1,5 +1,6 @@
 """Cross-run aggregation, CSV round-trips, and SVG rendering."""
 
+import hashlib
 import math
 import random
 
@@ -190,6 +191,14 @@ class TestSvg:
         assert svg.count('class="mean"') == 2
         assert "toy" in svg
         assert 'viewBox="0 0 800 500"' in svg
+
+    @pytest.mark.parametrize("title, digest", [
+        ("", "4d5c96fa9e662ec60f496b9f74cdeacd0f77c7e518ec68c41a85e56a9f3e6569"),
+        ("toy", "6b129cd674c5379edc52f3d8400a439567f3b88b4047f2a08af03b9208b53faa"),
+    ], ids=["untitled", "titled"])
+    def test_bytes_are_pinned(self, title, digest):
+        svg = render_svg(self.series(), title=title)
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
     def test_series_order_is_input_order_independent(self):
         svg_a = render_svg(self.series())
