@@ -10,12 +10,13 @@ Exit codes are a stable contract: 0 ok, 2 usage, 3 deadlock timeout,
 4 runtime error, 5 store I/O. A definition file that cannot be read, is
 not UTF-8 YAML, has a name that is not a string, gives an ``args`` value
 its parameter's bounds refuse, or names an experiment, registered or
-inline, that cannot be built or bound exits 2 before ``run`` opens a run;
-a study that neither its file nor its experiment gives a step bound
-exits 2 before ``study`` or ``emit-batch-script`` writes anything; a
-body error raised while the run runs exits 4. ``run`` stopped by SIGINT
-or SIGTERM closes its run as ``stopped`` and exits 128 + the signal's
-number: 130 or 143.
+inline, that cannot be built or bound exits 2 before ``run`` opens a run,
+as does a run with no run-wide step bound where some component with a
+step body has no ``max_steps`` of its own; a study that neither its file
+nor its experiment gives a step bound exits 2 before ``study`` or
+``emit-batch-script`` writes anything; a body error raised while the run
+runs exits 4. ``run`` stopped by SIGINT or SIGTERM closes its run as
+``stopped`` and exits 128 + the signal's number: 130 or 143.
 """
 
 from __future__ import annotations
@@ -138,11 +139,12 @@ def cmd_run(args, rest) -> int:
         exp_def.step_timeout = args.step_timeout
     defs._check_limits(exp_def.max_steps, exp_def.step_timeout)
     max_steps = exp_def.max_steps if exp_def.max_steps is not None else default_steps
-    if max_steps is None:
-        print("a step bound is required: pass --max-steps", file=sys.stderr)
-        return EXIT_USAGE
     # an experiment that cannot be built or bound exits 2 before a run opens
     components = defs.build_components(registry, exp_def)
+    if max_steps is None and any(c.step_body is not None and c.max_steps is None
+                                 for c in components):
+        print("a step bound is required: pass --max-steps", file=sys.stderr)
+        return EXIT_USAGE
 
     store, spool = _make_stores(args)
     run = open_run(store, exp_def.label, seed=args.seed, args=exp_def.args,

@@ -9,13 +9,15 @@ Components describe their per-step logic in a tiny assignment language:
 The parser builds an AST, ``extract_io`` infers which names are channel
 reads and writes by walking that AST against the component's io_map, and
 ``evaluate`` runs one step. ``parse`` is memoised on the source text, so
-equal text gives one shared, frozen ``StepAST``. A body is compiled once per
-distinct source and IO sets into one Python function kept on that AST,
-``step(lookup, emit, callees)``: it calls ``lookup(name)`` at a read's first
-use and ``emit(name, value)`` once per io write, in program order, holds
-locals in Python variables and takes callees from ``callees``. ``evaluate``
-calls it with an env's ``lookup_input``, ``emit`` and ``subcomponents``.
-Everything here is pure and reentrant; the runtime owns all synchronisation.
+equal text gives one shared, frozen ``StepAST``, which keeps what is derived
+from the body. ``validate`` walks a body once per distinct source and io_map
+keys. A body is compiled once per distinct source and IO sets into one
+Python function, ``step(lookup, emit, callees)``: it calls ``lookup(name)``
+at a read's first use and ``emit(name, value)`` once per io write, in
+program order, holds locals in Python variables and takes callees from
+``callees``. ``evaluate`` calls it with an env's ``lookup_input``, ``emit``
+and ``subcomponents``. Everything here is pure and reentrant; the runtime
+owns all synchronisation.
 
 Grammar (newline-separated statements):
 
@@ -92,8 +94,10 @@ class StepAST:
     statements: tuple[Statement, ...]
 
     def __post_init__(self):
-        # step functions compiled for this body, by (reads, writes); not part
-        # of the value, so equality, hashing and pickling ignore them
+        # this body's IO sets, by io keys, and its step functions, by (reads,
+        # writes); not part of the value, so equality, hashing and pickling
+        # ignore them
+        object.__setattr__(self, "_io_sets", {})
         object.__setattr__(self, "_compiled", {})
 
     def __reduce__(self):
@@ -384,9 +388,26 @@ def extract_io(ast: StepAST, io_map) -> IOSets:
     return IOSets(frozenset(reads), frozenset(writes), frozenset(locals_))
 
 
+def _io_sets(ast: StepAST, io_map) -> IOSets:
+    """``extract_io`` of ``ast`` under the keys of ``io_map``, walked on the
+    first call for those keys and kept on the AST. A body that raises keeps
+    nothing, so it raises on every call."""
+    keys = frozenset(io_map)
+    sets = ast._io_sets.get(keys)
+    if sets is None:
+        sets = ast._io_sets[keys] = extract_io(ast, keys)
+    return sets
+
+
 def validate(ast: StepAST, io_map, subcomponents=()) -> IOSets:
-    """Front-load extraction and callee-resolution errors at construction."""
-    sets = extract_io(ast, io_map)
+    """Front-load extraction and callee-resolution errors at construction.
+
+    The body is analysed once per distinct io_map keys, as it is compiled
+    once per IO sets: the IO sets are kept on the AST, which ``parse``
+    shares between equal texts. Callees are checked against
+    ``subcomponents`` on every call.
+    """
+    sets = _io_sets(ast, io_map)
     known = set(subcomponents)
     for stmt in ast:
         if isinstance(stmt, CallAssign) and stmt.callee not in known:
@@ -575,6 +596,6 @@ def evaluate(ast: StepAST, env: EvalEnv, io_sets: IOSets | None = None,
     if io_sets is None:
         if io_map is None:
             raise ValueError("evaluate needs io_sets or io_map")
-        io_sets = extract_io(ast, io_map)
+        io_sets = _io_sets(ast, io_map)
     compile_body(ast, io_sets)(env.lookup_input, env.emit, env.subcomponents)
     return env

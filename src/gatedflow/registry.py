@@ -38,12 +38,13 @@ class HyperparameterDescriptor:
         return self.bounds is not None or self.choices is not None
 
     def contains(self, value) -> bool:
-        """Whether ``value`` is one of the choices, or a number of the
-        descriptor's kind inside the inclusive bounds: an int for an
-        integer, an int or a float for a real, and never a bool. An
-        unbounded descriptor admits any value."""
+        """Whether ``value`` is one of the choices, of the same type and
+        equal to it, or a number of the descriptor's kind inside the
+        inclusive bounds: an int for an integer, an int or a float for a
+        real, and never a bool. An unbounded descriptor admits any value."""
         if self.choices is not None:
-            return value in self.choices
+            return any(type(choice) is type(value) and choice == value
+                       for choice in self.choices)
         if self.bounds is not None:
             number = int if self.kind == "integer" else (int, float)
             if isinstance(value, bool) or not isinstance(value, number):

@@ -65,9 +65,11 @@ class NativeBody:
 class ScriptBody:
     """Parsed step script, its inferred IO sets and its subcomponents.
 
-    The script is compiled here, on the thread that builds the component,
-    and only once per distinct source and IO sets: ``dsl.parse`` returns one
-    shared AST for equal text, and the compiled function is kept on it.
+    The script is analysed and compiled here, on the thread that builds the
+    component: ``dsl.parse`` returns one shared AST for equal text,
+    ``dsl.validate`` walks it once per distinct io_map keys and
+    ``dsl.compile_body`` compiles it once per distinct IO sets, each keeping
+    its result on the AST.
     ``run`` evaluates the script once through ``dsl.evaluate``, whose
     compiled step reads through ``fetch`` and writes through ``emit``
     directly."""

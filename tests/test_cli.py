@@ -25,6 +25,7 @@ from gatedflow.registry import (
     FactoryRecipe,
     HyperparameterDescriptor,
 )
+from gatedflow.builtin import register_builtin
 from gatedflow.store import DirectoryStore
 
 
@@ -35,6 +36,10 @@ def root(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+COUNTER = {"name": "P", "io_map": {"x": "x"}, "init": "x = 1",
+           "step": "x = x + 1"}
 
 
 # A, B and C each wait on another's output: the first step deadlocks.
@@ -182,6 +187,36 @@ class TestRun:
         # ToyExperimentPlain declares no default bound
         assert run_cli("run", "ToyExperimentPlain",
                        "--store-root", root) == EXIT_USAGE
+
+    @pytest.mark.parametrize("components, steps", [
+        ([{**COUNTER, "max_steps": 3}], {"P": 3}),
+        ([{**COUNTER, "max_steps": 2},
+          {"name": "S", "io_map": {"y": "y"}, "init": "y = 1"}],
+         {"P": 2, "S": 0}),
+    ], ids=["bounded-step", "bounded-step-and-init-only"])
+    def test_components_bounded_on_their_own_need_no_run_bound(
+            self, root, tmp_path, components, steps):
+        # in a child with a timeout: a run without a bound would never end
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({"components": components}))
+        done = subprocess.run(
+            [sys.executable, "-m", "gatedflow", "run", str(path),
+             "--store-root", root],
+            env=TestModuleEntry.child_env(), capture_output=True, text=True,
+            timeout=30)
+        assert done.returncode == EXIT_OK, done.stderr
+        summary = json.loads(done.stdout)
+        assert (summary["outcome"], summary["steps"]) == ("completed", steps)
+
+    def test_an_unbounded_step_body_needs_a_run_bound(self, root, tmp_path,
+                                                      capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({"components": [
+            {**COUNTER, "max_steps": 3},
+            {"name": "Q", "io_map": {"x": "x", "y": "y"}, "step": "y = x"}]}))
+        assert run_cli("run", str(path), "--store-root", root) == EXIT_USAGE
+        assert "step bound is required" in capsys.readouterr().err
+        assert DirectoryStore(root).list_runs() == []
 
     def test_deadlock_exits_three_with_blocked_report(self, root, tmp_path,
                                                       capsys):
@@ -339,10 +374,6 @@ class TestStudy:
         assert run_cli("study", path, "--bogus", "--store-root", root) == EXIT_USAGE
         assert "unrecognised arguments: --bogus" in capsys.readouterr().err
         assert DirectoryStore(root).list_studies() == []
-
-
-COUNTER = {"name": "P", "io_map": {"x": "x"}, "init": "x = 1",
-           "step": "x = x + 1"}
 
 
 @pytest.mark.parametrize("command, fields", [
@@ -546,6 +577,35 @@ def test_malformed_experiment_definition_exits_two_before_its_run(
     assert run_cli("run", str(path), "--store-root", root) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
     assert DirectoryStore(root).list_runs() == []
+
+
+@pytest.mark.parametrize("value, code", [
+    (2, EXIT_OK), (True, EXIT_USAGE), (2.0, EXIT_USAGE)])
+def test_a_categorical_argument_in_a_file_must_have_its_choices_type(
+        root, tmp_path, monkeypatch, capsys, value, code):
+    import gatedflow.cli
+
+    def with_a_categorical(registry=None):
+        registry = register_builtin(registry)
+        registry.register("component", ComponentSpec("W", {}, params=[
+            HyperparameterDescriptor("width", "categorical", default=1,
+                                     choices=[1, 2])]))
+        registry.register("experiment",
+                          ExperimentSpec("Wide", [FactoryRecipe("W")]))
+        return registry
+
+    monkeypatch.setattr(gatedflow.cli, "register_builtin", with_a_categorical)
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump({"experiment": "Wide", "max_steps": 1,
+                                    "args": {"W.width": value}}))
+    assert run_cli("run", str(path), "--store-root", root) == code
+    if code == EXIT_USAGE:
+        assert "usage error" in capsys.readouterr().err
+        assert DirectoryStore(root).list_runs() == []
+    else:
+        summary = json.loads(capsys.readouterr().out)
+        meta = DirectoryStore(root).read_meta(summary["run_id"])
+        assert meta["args"] == {"W.width": 2}
 
 
 class TestListExportPlot:

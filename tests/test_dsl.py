@@ -12,6 +12,7 @@ from gatedflow.dsl import (
     BinOp,
     CallAssign,
     EvalEnv,
+    IOSets,
     Name,
     Neg,
     Num,
@@ -25,6 +26,7 @@ from gatedflow.dsl import (
 from gatedflow.errors import (
     DivisionByZero,
     DoubleWrite,
+    FlowError,
     MissingInput,
     ScriptSyntaxError,
     TypeMismatch,
@@ -532,3 +534,88 @@ class TestCompiledSemantics:
         ast = parse("z = x * 2\n")
         self.run("z = x * 2\n", x=1)
         assert pickle.loads(pickle.dumps(ast)) == ast
+
+
+def random_body(rng):
+    """A random program whose targets repeat among a, b, c and d, so that
+    one io_map makes it valid and another a use before assignment, a
+    double write or a read after a write."""
+    statements = []
+    for _ in range(rng.randint(1, 5)):
+        target = rng.choice("abcd")
+        if rng.random() < 0.2:
+            args = tuple(random_expr(rng, 2) for _ in range(rng.randint(0, 2)))
+            statements.append(CallAssign(target, "fn", args))
+        else:
+            statements.append(Assign(target, random_expr(rng, 3)))
+    return StepAST(tuple(statements))
+
+
+class TestKeptIOSets:
+    """``validate`` keeps a body's IO sets on its AST, by io_map keys: it
+    gives what a fresh ``extract_io`` gives, raises on every call for a body
+    that fails, and checks callees on every call."""
+
+    def test_the_kept_sets_equal_a_fresh_walk(self):
+        rng = random.Random(20261020)
+        outcomes = set()
+        for _ in range(400):
+            ast = parse(to_source(random_body(rng)))  # equal texts share one
+            for _ in range(3):
+                io_map = {name: f"n_{name}" for name in "abcd"
+                          if rng.random() < 0.5}
+                try:
+                    expected = extract_io(StepAST(ast.statements), io_map)
+                except FlowError as exc:
+                    outcomes.add(type(exc))
+                    for _ in range(2):
+                        with pytest.raises(type(exc)) as err:
+                            validate(ast, io_map, ["fn"])
+                        assert str(err.value) == str(exc)
+                    continue
+                outcomes.add(IOSets)
+                for _ in range(2):
+                    assert validate(ast, io_map, ["fn"]) == expected
+        assert outcomes == {IOSets, UseBeforeAssign, DoubleWrite,
+                            WriteBeforeReadSelfLoop}
+
+    def test_a_failing_body_keeps_nothing(self):
+        for source, io_map, error in (
+                ("x = 1\ny = x", {"x": "x", "y": "y"}, WriteBeforeReadSelfLoop),
+                ("z = w", {"z": "z"}, UseBeforeAssign),
+                ("z = 1\nz = 2", {"z": "z"}, DoubleWrite)):
+            ast = parse(source)
+            for _ in range(2):
+                with pytest.raises(error):
+                    validate(ast, io_map)
+                with pytest.raises(error):
+                    evaluate(ast, EvalEnv(inputs={"w": 1}), io_map=io_map)
+            assert ast._io_sets == {}
+
+    def test_one_ast_under_two_io_maps_gives_two_sets(self):
+        ast = parse("z = x\ny = 1\n")
+        wide = validate(ast, {"x": "x", "y": "y", "z": "z"})
+        narrow = validate(ast, {"x": "x", "z": "z"})
+        assert wide == IOSets(frozenset("x"), frozenset("yz"), frozenset())
+        assert narrow == IOSets(frozenset("x"), frozenset("z"), frozenset("y"))
+        # the namespaces take no part: equal keys give the kept sets
+        assert validate(ast, {"x": "other", "z": "names"}) is narrow
+
+    def test_callees_are_checked_on_every_call(self):
+        ast = parse("z = f(x)\n")
+        io_map = {"x": "x", "z": "z"}
+        sets = validate(ast, io_map, ["f"])
+        with pytest.raises(UnknownCallee):
+            validate(ast, io_map)
+        assert validate(ast, io_map, {"f": abs}) is sets
+
+    def test_equality_hashing_and_pickling_ignore_the_kept_sets(self):
+        ast = parse("z = x * 3\n")
+        validate(ast, {"x": "x", "z": "z"})
+        evaluate(ast, EvalEnv(inputs={"x": 1}), io_map={"x": "x", "z": "z"})
+        assert ast._io_sets and ast._compiled
+        fresh = StepAST(ast.statements)
+        assert fresh == ast and hash(fresh) == hash(ast)
+        copy = pickle.loads(pickle.dumps(ast))
+        assert copy == ast and hash(copy) == hash(ast)
+        assert copy._io_sets == {} and copy._compiled == {}

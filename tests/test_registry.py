@@ -95,6 +95,22 @@ class TestDescriptorValidation:
         desc = HyperparameterDescriptor("p", kind, bounds=bounds)
         assert desc.contains(value) is inside
 
+    @pytest.mark.parametrize("choices, value, inside", [
+        ([1, 2], 1, True),
+        ([1, 2], True, False),
+        ([1, 2], 1.0, False),
+        ([0.5, 1.0], 1, False),
+        ([0.5, 1.0], 1.0, True),
+        ([True, False], 1, False),
+        ([True, False], False, True),
+        (["a", "b"], "a", True),
+    ])
+    def test_a_choice_matches_only_its_own_type(self, choices, value, inside):
+        desc = HyperparameterDescriptor("m", "categorical", default=choices[0],
+                                        choices=choices)
+        desc.validate()
+        assert desc.contains(value) is inside
+
     def test_integer_default_must_be_an_int(self):
         with pytest.raises(InvalidDescriptor, match="outside bounds"):
             HyperparameterDescriptor("w", "integer", default=3.0,

@@ -1,5 +1,6 @@
 """Component construction, binding, and the concurrent gated run loop."""
 
+import collections
 import gc
 import sys
 import threading
@@ -16,6 +17,8 @@ from gatedflow import (
     build_experiment,
     make_component,
     oracle_run,
+    run_study,
+    study_from_descriptors,
 )
 from gatedflow import dsl
 from gatedflow.channels import CAPACITY
@@ -250,6 +253,53 @@ class TestCompileOnce:
                 make_component("A", {"z": "z"}, step_body="z = * 2\n")
         assert dsl._parse_text.cache_info().currsize == 0
         assert compiles == []
+
+
+class TestAnalyseOnce:
+    """A script body's tree is walked for its IO sets once per distinct
+    source and io_map keys, however many components and trials build it."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """How often each (body, io keys) was walked."""
+        dsl._parse_text.cache_clear()
+        counts = collections.Counter()
+        extract_io = dsl.extract_io
+
+        def counting(ast, io_map):
+            counts[ast, frozenset(io_map)] += 1
+            return extract_io(ast, io_map)
+
+        monkeypatch.setattr(dsl, "extract_io", counting)
+        return counts
+
+    def test_a_hundred_builds_walk_once(self, walks):
+        for i in range(100):
+            make_component("C", C_IO, init_body=C_INIT, step_body=C_STEP,
+                           io_map_override={"alpha": f"alpha{i}"})
+        assert walks == {(dsl.parse(C_INIT), frozenset(C_IO)): 1,
+                         (dsl.parse(C_STEP), frozenset(C_IO)): 1}
+
+    def test_other_io_keys_walk_again(self, walks):
+        for _ in range(3):
+            make_component("A", {"x": "x", "z": "z"}, step_body="z = x\n")
+            make_component("A", {"x": "x", "z": "z", "w": "w"},
+                           step_body="z = x\n")
+        assert sorted(walks.values()) == [1, 1]
+
+    def test_a_body_that_fails_is_walked_at_every_build(self, walks):
+        for _ in range(3):
+            with pytest.raises(FlowError):
+                make_component("A", {"z": "z"}, step_body="z = w\n")
+        assert list(walks.values()) == [3]
+
+    def test_a_three_trial_study_walks_each_body_once(self, walks, registry,
+                                                      store):
+        study = study_from_descriptors(registry, "ToyStudy", seed=3)
+        run_study(study, registry, store, n_trials=3)
+        assert [t.state for t in study.trials] == ["complete"] * 3
+        # the source's init and empty step, and ComponentF's step
+        assert len(walks) == 3 and set(walks.values()) == {1}
 
 
 class TestBind:
