@@ -123,9 +123,17 @@ def _extent(values):
     return low - MARGIN_FRACTION * span, high + MARGIN_FRACTION * span
 
 
+def _escape(text) -> str:
+    """``text`` as XML character data. xml.sax.saxutils.escape does the
+    same, but importing it loads urllib and http, several MB of modules."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(
+        ">", "&gt;")
+
+
 def render_svg(series_list, title="") -> str:
     """Emit a static SVG: one mean line plus a translucent +/- sigma band per
-    series. Pure function of its inputs; byte-identical across invocations."""
+    series. Pure function of its inputs; byte-identical across invocations.
+    The title and the series labels are XML-escaped."""
     series_list = sorted(series_list, key=lambda s: s.key)
     if not series_list:
         raise EmptyInput("no series to render")
@@ -161,7 +169,7 @@ def render_svg(series_list, title="") -> str:
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="25" text-anchor="middle" '
-            f'font-size="16">{title}</text>'
+            f'font-size="16">{_escape(title)}</text>'
         )
     parts.append(
         f'<text x="{width / 2:.1f}" y="{height - 15}" text-anchor="middle" '
@@ -195,7 +203,7 @@ def render_svg(series_list, title="") -> str:
         )
         parts.append(
             f'<text x="{width - PLOT_PAD - 132}" y="{ly + 10}" font-size="11">'
-            f"{series.label()}</text>"
+            f"{_escape(series.label())}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

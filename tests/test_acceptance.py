@@ -6,6 +6,7 @@ Each test covers one release criterion and prints a single PASS/FAIL line
 
 import contextlib
 import random
+import threading
 import time
 
 import pytest
@@ -230,33 +231,43 @@ def test_store_no_loss_and_failover(registry, tmp_path, monkeypatch):
         assert len({r.key for r in merged}) == 10000
 
     with criterion("store non-interference (stalled writer)", 30.0):
-        def timed_run(stall):
-            store_root = tmp_path / f"stall-{stall}-{time.monotonic_ns()}"
-            store = DirectoryStore(store_root)
-            if stall:
-                def slow(self_, run_id, recs):
-                    time.sleep(0.05)
-                    return real(self_, run_id, recs)
-                monkeypatch.setattr(DirectoryStore, "append_records", slow)
-            else:
-                monkeypatch.setattr(DirectoryStore, "append_records", real)
-            run = open_run(store, "Accept", chunk=64)
+        # the writer's first append blocks from before the run starts until
+        # after the run has returned, so the run completes only if it never
+        # waits on the writer
+        entered, released = threading.Event(), threading.Event()
+
+        def stalled(self_, run_id, lines):
+            entered.set()
+            if not released.wait(10.0):  # the run waited for this append
+                raise OSError("the writer stalled the run")
+            return real(self_, run_id, lines)
+
+        def logged_run(root, stall):
+            run = open_run(DirectoryStore(root), "Accept", chunk=64)
+            warmup = run.proxy("Warmup")
+            for i in range(64):  # one full chunk wakes the writer
+                warmup.record("x", float(i))
+            assert not stall or entered.wait(10.0), "the writer took no chunk"
             collection = build_experiment(registry, "ToyExperimentPlain",
                                           logger=run)
-            start = time.monotonic()
-            report = collection.run(max_steps=400)
-            elapsed = time.monotonic() - start
-            assert report.outcome == "completed"
-            run.close()
-            monkeypatch.setattr(DirectoryStore, "append_records", real)
-            return elapsed
+            assert collection.run(max_steps=400).outcome == "completed"
+            return run
 
-        # interleaved, so that both sides see the same host speed
-        pairs = [(timed_run(False), timed_run(True)) for _ in range(3)]
-        baseline, stalled = map(min, zip(*pairs))
-        assert stalled < baseline * 1.10, (
-            f"stalled writer slowed the run: {baseline:.3f}s -> {stalled:.3f}s"
-        )
+        def logged(logger):
+            return [(r.component, r.tag, r.step, r.value) for r in
+                    logger.store.read_records(logger.run_id)]
+
+        monkeypatch.setattr(DirectoryStore, "append_records", real)
+        plain = logged_run(tmp_path / "unstalled", stall=False)
+        plain.close()
+        monkeypatch.setattr(DirectoryStore, "append_records", stalled)
+        run = logged_run(tmp_path / "stalled", stall=True)
+        assert logged(run) == []  # the writer is still in its first append
+        released.set()
+        run.close()
+        monkeypatch.setattr(DirectoryStore, "append_records", real)
+        assert len(logged(plain)) > 64  # more than the blocked chunk
+        assert sorted(logged(run)) == sorted(logged(plain))
 
 
 def test_dsl_conformance():

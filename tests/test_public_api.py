@@ -9,6 +9,7 @@ import glob
 import inspect
 import json
 import os
+import pickle
 import shutil
 import signal
 import site
@@ -130,9 +131,23 @@ def other_pythons() -> dict:
     return found
 
 
+# Loads a pickled MetricRecord from stdin, checks that it pickles again in
+# this interpreter, and writes that pickle to stdout.
+REPICKLE = """\
+import pickle, sys
+from gatedflow import MetricRecord
+record = pickle.load(sys.stdin.buffer)
+again = pickle.loads(pickle.dumps(record))
+assert type(again) is MetricRecord and again == record, again
+sys.stdout.buffer.write(pickle.dumps(again, protocol=4))
+"""
+
+
 def test_other_pythons_run_and_study(tmp_path):
     """``run`` and a 2-trial study complete under every other CPython >= 3.10
-    found, with this interpreter's site-packages on its path."""
+    found, with this interpreter's site-packages on its path, and a
+    ``MetricRecord`` (a frozen slotted dataclass) pickles both ways between
+    that interpreter and this one."""
     pythons = other_pythons()
     if not pythons:
         pytest.skip("no other CPython >= 3.10 found")
@@ -141,7 +156,14 @@ def test_other_pythons_run_and_study(tmp_path):
                                          *site.getsitepackages()])
     study = tmp_path / "study.yaml"
     study.write_text("experiment: ToyStudy\nn_trials: 2\n")
+    record = gatedflow.MetricRecord("r1", "A", "loss", 3, 0.5,
+                                    {"v": [1, 2.0, True, None]})
     for version, exe in sorted(pythons.items()):
+        done = subprocess.run([exe, "-c", REPICKLE], env=env,
+                              input=pickle.dumps(record, protocol=4),
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, (version, done.stderr.decode())
+        assert pickle.loads(done.stdout) == record, version
         root = str(tmp_path / ".".join(map(str, version)))
         for argv in (["run", "ToyExperimentPlain", "--max-steps", "3"],
                      ["study", str(study)]):

@@ -1,14 +1,18 @@
 """Persistence layer: NDJSON store, buffered writer, spool failover."""
 
+import copy
+import dataclasses
 import enum
 import itertools
 import json
 import math
 import os
+import pickle
 import random
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -368,6 +372,82 @@ class TestQuery:
                  and (tag is None or r.tag == tag)), key=lambda r: r.key)
             got = query(store, component=component, tag=tag)
             assert [r.to_line() for r in got] == [r.to_line() for r in expected]
+
+
+class TestDecodedRecords:
+    """read_records, query and merge_spool decode lines through one decoder
+    per read: its records equal MetricRecord.from_line's, and the records of
+    one (component, tag) share their name objects."""
+
+    def fill(self, store, rng):
+        """Random str names in r1 and the equal names 1, 1.0 and True in r2
+        (r2's names order among themselves, so query can sort them), each
+        run with lines that _line did not write; the from_line records of
+        every stored line, by run."""
+        pairs = [(random_name(rng), random_name(rng)) for _ in range(8)]
+        numbers = [1, 1.0, True]
+        for run_id, pick in (("r1", lambda: rng.choice(pairs)),
+                             ("r2", lambda: (rng.choice(numbers),
+                                             rng.choice(numbers)))):
+            store.append_records(run_id, [
+                MetricRecord(run_id, *pick(), step, rng.random(),
+                             random_value(rng)).to_line()
+                for step in range(300)])
+            with open(store._metrics_path(run_id), "a", encoding="utf-8") as fh:
+                for step in range(300, 320):
+                    c, t = pick()
+                    fh.write(" " + json.dumps({"t": t, "s": step, "c": c,
+                                               "w": 0.0, "v": step}) + "\n")
+        expected = {}
+        for run_id in ("r1", "r2"):
+            with open(store._metrics_path(run_id), encoding="utf-8") as fh:
+                expected[run_id] = [MetricRecord.from_line(run_id, line)
+                                    for line in fh]
+        return expected
+
+    @staticmethod
+    def typed(records):
+        # repr tells 1, 1.0 and True apart, and shows a NaN value as nan
+        return [repr(r) for r in records]
+
+    def test_records_equal_from_line_with_the_same_types(self, store):
+        expected = self.fill(store, random.Random(426))
+        for run_id, records in expected.items():
+            assert self.typed(store.read_records(run_id)) == self.typed(records)
+        everything = sorted(expected["r1"] + expected["r2"],
+                            key=gatedflow.store.RECORD_ORDER)
+        assert self.typed(query(store)) == self.typed(everything)
+
+    def test_records_of_one_pair_share_their_names(self, store):
+        self.fill(store, random.Random(427))
+        for records in (store.read_records("r1"), query(store)):
+            first = {}
+            for rec in records:
+                if type(rec.component) is str:
+                    same = first.setdefault((rec.component, rec.tag), rec)
+                    assert same.component is rec.component
+                    assert same.tag is rec.tag
+            assert len(first) <= 8
+
+    def test_a_record_is_slotted(self):
+        rec = MetricRecord("r1", "A", "loss", 3, 0.5, 2.0)
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(rec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.step = 4
+
+    def test_a_record_copies_pickles_and_hashes_as_before(self):
+        rec = MetricRecord("r1", "A", "loss", 3, 0.5, 2.0)
+        fields = ("r1", "A", "loss", 3, 0.5, 2.0)
+        for copied in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec),
+                       copy.copy(rec)):
+            assert copied == rec and type(copied) is MetricRecord
+        assert dataclasses.replace(rec, step=4) == MetricRecord(
+            "r1", "A", "loss", 4, 0.5, 2.0)
+        assert dataclasses.asdict(rec) == dict(zip(
+            ("run_id", "component", "tag", "step", "wall_time", "value"), fields))
+        assert hash(rec) == hash(fields)
 
 
 class TestRunLogger:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import xml.dom.minidom
 
 import pytest
 
@@ -199,6 +200,17 @@ class TestSvg:
     def test_bytes_are_pinned(self, title, digest):
         svg = render_svg(self.series(), title=title)
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    def test_title_and_labels_are_escaped(self):
+        """Markup characters in a title or a tag name are written as text:
+        the chart still parses as XML and shows them as given."""
+        series = AggregatedSeries(("C<0", "a&b"), [0, 1], [0.0, 1.0],
+                                  [0.0, 0.0], [1, 1])
+        svg = render_svg([series], title="x < y & z")
+        texts = [node.firstChild.data for node in
+                 xml.dom.minidom.parseString(svg).getElementsByTagName("text")]
+        assert texts[0] == "x < y & z"
+        assert texts[-1] == "C<0/a&b"
 
     def test_series_order_is_input_order_independent(self):
         svg_a = render_svg(self.series())
