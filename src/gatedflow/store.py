@@ -31,9 +31,9 @@ takes encoded lines.
 query() tests a line's head before it decodes the line: a line that starts
 with {"c": is taken to be written by _line.
 
-Every read decodes its lines with one _decoder, under which the records of
-one (component, tag) of str names share one pair of name objects: a decoded
-record is a slotted MetricRecord that holds no copy of its names.
+MetricRecord.from_line interns str names, so the records of one (component,
+tag) share one pair of name objects: a decoded record is a slotted
+MetricRecord that holds no copy of its names.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import json
 import operator
 import os
 import shutil
+import sys
 import threading
 import time
 import uuid
@@ -78,23 +79,12 @@ class MetricRecord:
     @classmethod
     def from_line(cls, run_id: str, line: str) -> "MetricRecord":
         obj = json.loads(line)
-        return cls(run_id, obj["c"], obj["t"], obj["s"], obj["w"], obj["v"])
-
-
-def _decoder():
-    """A decoder for one read: ``decode(run_id, line)`` is
-    MetricRecord.from_line, except that the records of one (component, tag)
-    share the name objects of the first that decoded them."""
-    pairs = {}
-
-    def decode(run_id, line):
-        obj = json.loads(line)
-        component, tag = names = obj["c"], obj["t"]
-        if type(component) is str and type(tag) is str:
-            # only str names: 1, 1.0 and True are equal keys of other types
-            component, tag = pairs.setdefault(names, names)
-        return MetricRecord(run_id, component, tag, obj["s"], obj["w"], obj["v"])
-    return decode
+        component, tag = obj["c"], obj["t"]
+        if type(component) is str:
+            component = sys.intern(component)
+        if type(tag) is str:
+            tag = sys.intern(tag)
+        return cls(run_id, component, tag, obj["s"], obj["w"], obj["v"])
 
 
 # -- the line encoder --------------------------------------------------------
@@ -254,8 +244,7 @@ class DirectoryStore:
         return _subdirs(self.runs_dir())
 
     def read_records(self, run_id: str):
-        decode = _decoder()
-        return [decode(run_id, line)
+        return [MetricRecord.from_line(run_id, line)
                 for line in _read_lines(self._metrics_path(run_id))]
 
 
@@ -271,7 +260,6 @@ def query(store: DirectoryStore, run_ids=None, experiment=None, component=None,
     if type(component) is str:
         head = (_head(component, tag) if type(tag) is str
                 else _component_head(component))
-    decode = _decoder()
     out = []
     for run_id in runs:
         if experiment is not None:
@@ -285,7 +273,7 @@ def query(store: DirectoryStore, run_ids=None, experiment=None, component=None,
             if (head is not None and not line.startswith(head)
                     and line.startswith('{"c":')):
                 continue  # written by _line for another component or tag
-            rec = decode(run_id, line)
+            rec = MetricRecord.from_line(run_id, line)
             if component is not None and rec.component != component:
                 continue
             if tag is not None and rec.tag != tag:
@@ -311,13 +299,12 @@ def merge_spool(primary: DirectoryStore, spool: DirectoryStore) -> MergeReport:
     if not os.path.isdir(primary.root):
         raise PrimaryUnavailable(primary.root)
     report = MergeReport()
-    decode = _decoder()
     for run_id in spool.list_runs():
-        spooled = [(decode(run_id, line).key, line[:-1])
+        spooled = [(MetricRecord.from_line(run_id, line).key, line[:-1])
                    for line in _read_lines(spool._metrics_path(run_id))]
         missing = {key for key, _ in spooled}
         for line in _read_lines(primary._metrics_path(run_id)):
-            missing.discard(decode(run_id, line).key)
+            missing.discard(MetricRecord.from_line(run_id, line).key)
         fresh = [line for key, line in spooled if key in missing]
         report.skipped += len(spooled) - len(fresh)
         if fresh:

@@ -242,8 +242,7 @@ def test_store_no_loss_and_failover(registry, tmp_path, monkeypatch):
                 raise OSError("the writer stalled the run")
             return real(self_, run_id, lines)
 
-        def logged_run(root, stall):
-            run = open_run(DirectoryStore(root), "Accept", chunk=64)
+        def complete(run, stall):
             warmup = run.proxy("Warmup")
             for i in range(64):  # one full chunk wakes the writer
                 warmup.record("x", float(i))
@@ -251,24 +250,29 @@ def test_store_no_loss_and_failover(registry, tmp_path, monkeypatch):
             collection = build_experiment(registry, "ToyExperimentPlain",
                                           logger=run)
             assert collection.run(max_steps=400).outcome == "completed"
-            return run
 
         def logged(logger):
             return [(r.component, r.tag, r.step, r.value) for r in
                     logger.store.read_records(logger.run_id)]
 
         monkeypatch.setattr(DirectoryStore, "append_records", real)
-        plain = logged_run(tmp_path / "unstalled", stall=False)
-        plain.close()
+        plain = open_run(DirectoryStore(tmp_path / "unstalled"), "Accept",
+                         chunk=64)
+        try:
+            complete(plain, stall=False)
+        finally:
+            plain.close()
         monkeypatch.setattr(DirectoryStore, "append_records", stalled)
-        run = logged_run(tmp_path / "stalled", stall=True)
-        assert logged(run) == []  # the writer is still in its first append
-        released.set()
-        run.close()
+        run = open_run(DirectoryStore(tmp_path / "stalled"), "Accept", chunk=64)
+        try:
+            complete(run, stall=True)
+            assert logged(run) == []  # the writer is still in its first append
+        finally:  # release and join the writer on every path
+            released.set()
+            run.close()
         monkeypatch.setattr(DirectoryStore, "append_records", real)
         assert len(logged(plain)) > 64  # more than the blocked chunk
         assert sorted(logged(run)) == sorted(logged(plain))
-
 
 def test_dsl_conformance():
     with criterion("DSL conformance", 10.0):

@@ -375,9 +375,10 @@ class TestQuery:
 
 
 class TestDecodedRecords:
-    """read_records, query and merge_spool decode lines through one decoder
-    per read: its records equal MetricRecord.from_line's, and the records of
-    one (component, tag) share their name objects."""
+    """read_records, query and merge_spool decode lines with
+    MetricRecord.from_line, which interns str names: the records equal the
+    records of json.loads's fields, and the records of one (component, tag)
+    share their name objects."""
 
     def fill(self, store, rng):
         """Random str names in r1 and the equal names 1, 1.0 and True in r2
