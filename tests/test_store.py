@@ -383,8 +383,8 @@ class TestDecodedRecords:
     def fill(self, store, rng):
         """Random str names in r1 and the equal names 1, 1.0 and True in r2
         (r2's names order among themselves, so query can sort them), each
-        run with lines that _line did not write; the from_line records of
-        every stored line, by run."""
+        run with lines that _line did not write; by run, the records of
+        json.loads's fields of every stored line."""
         pairs = [(random_name(rng), random_name(rng)) for _ in range(8)]
         numbers = [1, 1.0, True]
         for run_id, pick in (("r1", lambda: rng.choice(pairs)),
@@ -402,8 +402,10 @@ class TestDecodedRecords:
         expected = {}
         for run_id in ("r1", "r2"):
             with open(store._metrics_path(run_id), encoding="utf-8") as fh:
-                expected[run_id] = [MetricRecord.from_line(run_id, line)
-                                    for line in fh]
+                expected[run_id] = [
+                    MetricRecord(run_id, obj["c"], obj["t"], obj["s"],
+                                 obj["w"], obj["v"])
+                    for obj in map(json.loads, fh)]
         return expected
 
     @staticmethod
@@ -411,7 +413,7 @@ class TestDecodedRecords:
         # repr tells 1, 1.0 and True apart, and shows a NaN value as nan
         return [repr(r) for r in records]
 
-    def test_records_equal_from_line_with_the_same_types(self, store):
+    def test_records_equal_the_parsed_fields_with_the_same_types(self, store):
         expected = self.fill(store, random.Random(426))
         for run_id, records in expected.items():
             assert self.typed(store.read_records(run_id)) == self.typed(records)
