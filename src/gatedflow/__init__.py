@@ -12,7 +12,7 @@ and runs trials on top of the same machinery.
 
 from .builtin import register_builtin
 from .channels import BindReport, ChannelRegistry, Observer, Subject
-from .dsl import EvalEnv, IOSets, StepAST, evaluate, extract_io, parse, to_source, validate
+from .dsl import IOSets, StepAST, evaluate, extract_io, parse, to_source, validate
 from .errors import FlowError
 from .oracle import OracleResult, oracle_run
 from .registry import (
@@ -64,7 +64,6 @@ __all__ = [
     "ComponentCollection",
     "ComponentSpec",
     "DirectoryStore",
-    "EvalEnv",
     "ExperimentSpec",
     "FactoryRecipe",
     "FlowError",

@@ -12,17 +12,20 @@ not UTF-8 YAML, has a name that is not a string, gives an ``args`` value
 its parameter's bounds refuse, or names an experiment, registered or
 inline, that cannot be built or bound exits 2 before ``run`` opens a run,
 as does a run with no run-wide step bound where some component with a
-step body has no ``max_steps`` of its own; a study that neither its file
-nor its experiment gives a step bound exits 2 before ``study`` or
-``emit-batch-script`` writes anything; a body error raised while the run
-runs exits 4. ``run`` stopped by SIGINT or SIGTERM closes its run as
-``stopped`` and exits 128 + the signal's number: 130 or 143.
+step body has no ``max_steps`` of its own; an ``export`` or ``plot``
+``--group-by`` name that is not a ``MetricRecord`` field exits 2; a study
+that neither its file nor its experiment gives a step bound exits 2
+before ``study`` or ``emit-batch-script`` writes anything; a body error
+raised while the run runs exits 4. ``run`` stopped by SIGINT or SIGTERM
+closes its run as ``stopped`` and exits 128 + the signal's number: 130
+or 143.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import shlex
@@ -36,7 +39,7 @@ from .errors import FlowError, PrimaryUnavailable, UnknownExperiment
 from .oracle import oracle_run
 from .registry import build_experiment, collect_hyperparameters
 from .runtime import ComponentCollection
-from .store import DirectoryStore, merge_spool, open_run, query
+from .store import DirectoryStore, MetricRecord, merge_spool, open_run, query
 from .study import best_trial, run_study
 from .viz import aggregate, export_csv, render_svg
 
@@ -96,11 +99,23 @@ def _add_store_flags(parser):
     parser.add_argument("--spool-root", default=None)
 
 
+def _group_by(text) -> tuple:
+    """The record fields named in ``--group-by``; any other name exits 2."""
+    names = tuple(text.split(","))
+    fields = [field.name for field in dataclasses.fields(MetricRecord)]
+    unknown = [name for name in names if name not in fields]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"not a record field: {', '.join(map(repr, unknown))} "
+            f"(fields: {', '.join(fields)})")
+    return names
+
+
 def _add_selection_flags(parser):
     parser.add_argument("--tag", default=None)
     parser.add_argument("--runs", default=None, help="comma-separated run ids")
     parser.add_argument("--experiment", default=None)
-    parser.add_argument("--group-by", default="component,tag")
+    parser.add_argument("--group-by", default="component,tag", type=_group_by)
 
 
 def _make_stores(args):
@@ -253,8 +268,7 @@ def cmd_export(args, rest) -> int:
                     del obj["w"]
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
         return EXIT_OK
-    group_by = tuple(args.group_by.split(","))
-    series = aggregate(records, group_by=group_by)
+    series = aggregate(records, group_by=args.group_by)
     if len(series) != 1:
         print(
             f"selection produced {len(series)} series; narrow the filter "
@@ -268,8 +282,7 @@ def cmd_export(args, rest) -> int:
 def cmd_plot(args, rest) -> int:
     store = DirectoryStore(args.store_root)
     records = _select_records(args, store)
-    group_by = tuple(args.group_by.split(","))
-    series = aggregate(records, group_by=group_by)
+    series = aggregate(records, group_by=args.group_by)
     if not series:
         print("selection produced no series; widen the filter", file=sys.stderr)
         return EXIT_USAGE

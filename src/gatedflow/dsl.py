@@ -15,9 +15,9 @@ keys. A body is compiled once per distinct source and IO sets into one
 Python function, ``step(lookup, emit, callees)``: it calls ``lookup(name)``
 at a read's first use and ``emit(name, value)`` once per io write, in
 program order, holds locals in Python variables and takes callees from
-``callees``. ``evaluate`` calls it with an env's ``lookup_input``, ``emit``
-and ``subcomponents``. Everything here is pure and reentrant; the runtime
-owns all synchronisation.
+``callees``. ``evaluate(ast, io_sets, lookup, emit, callees)`` runs one
+step through it, and is the one way to run a body. Everything here is pure
+and reentrant; the runtime owns all synchronisation.
 
 Grammar (newline-separated statements):
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     DivisionByZero,
@@ -415,38 +416,6 @@ def validate(ast: StepAST, io_map, subcomponents=()) -> IOSets:
     return sets
 
 
-# --- evaluation ------------------------------------------------------------
-
-
-class EvalEnv:
-    """Execution state for one step run through ``evaluate``.
-
-    ``lookup_input`` returns a read name's value from ``inputs``, calling
-    ``fetch`` for a name not there and caching the result, so each read is
-    fetched once per step. ``emit`` appends each io write to
-    ``emitted_writes``, then passes it to ``on_write``, in program order.
-    """
-
-    def __init__(self, inputs=None, subcomponents=None, fetch=None, on_write=None):
-        self.inputs = dict(inputs) if inputs else {}
-        self.subcomponents = dict(subcomponents) if subcomponents else {}
-        self.emitted_writes: list[tuple[str, object]] = []
-        self._fetch = fetch
-        self._on_write = on_write
-
-    def lookup_input(self, name: str):
-        if name not in self.inputs:
-            if self._fetch is None:
-                raise MissingInput(f"no value supplied for read name {name!r}")
-            self.inputs[name] = self._fetch(name)
-        return self.inputs[name]
-
-    def emit(self, name: str, value):
-        self.emitted_writes.append((name, value))
-        if self._on_write is not None:
-            self._on_write(name, value)
-
-
 # --- compilation -----------------------------------------------------------
 #
 # ``evaluate`` runs one generated Python function per (body, reads, writes).
@@ -585,17 +554,17 @@ def compile_body(ast: StepAST, io_sets: IOSets):
     return fn
 
 
-def evaluate(ast: StepAST, env: EvalEnv, io_sets: IOSets | None = None,
-             io_map=None) -> EvalEnv:
-    """Run one step body through its compiled function (``compile_body``).
-    Statements execute in program order.
+_NO_CALLEES = MappingProxyType({})  # the callees of a body that calls none
 
-    Integer arithmetic is exact, reals are IEEE doubles, mixed operands
-    promote to real, and division always yields a real.
+
+def evaluate(ast: StepAST, io_sets: IOSets, lookup, emit,
+             callees=_NO_CALLEES) -> None:
+    """Run one step body: ``compile_body(ast, io_sets)(lookup, emit, callees)``.
+
+    ``lookup(name)`` is called once per read name, at its first use, and
+    ``emit(name, value)`` once per io write, in program order; a callee is
+    taken from ``callees`` when its statement runs. Integer arithmetic is
+    exact, reals are IEEE doubles, mixed operands promote to real, and
+    division always yields a real.
     """
-    if io_sets is None:
-        if io_map is None:
-            raise ValueError("evaluate needs io_sets or io_map")
-        io_sets = _io_sets(ast, io_map)
-    compile_body(ast, io_sets)(env.lookup_input, env.emit, env.subcomponents)
-    return env
+    compile_body(ast, io_sets)(lookup, emit, callees)

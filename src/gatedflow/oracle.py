@@ -139,8 +139,6 @@ def oracle_run(components, max_steps: int, scan_order=None) -> OracleResult:
         comp = machines[name].comp
         if comp.init_body is None:
             continue
-        if comp.init_body.reads:
-            raise OracleStuck([name])  # init bodies must be input-free
         for ns, value in _evaluate_body(comp, comp.init_body, state):
             state.publish(ns, value)
 

@@ -70,9 +70,8 @@ class ScriptBody:
     ``dsl.validate`` walks it once per distinct io_map keys and
     ``dsl.compile_body`` compiles it once per distinct IO sets, each keeping
     its result on the AST.
-    ``run`` evaluates the script once through ``dsl.evaluate``, whose
-    compiled step reads through ``fetch`` and writes through ``emit``
-    directly."""
+    ``run`` passes ``fetch``, ``emit`` and the subcomponents straight to
+    ``dsl.evaluate``, once per body run."""
 
     def __init__(self, source: str, io_map, subcomponents=None):
         self.source = source
@@ -84,9 +83,7 @@ class ScriptBody:
         dsl.compile_body(self.ast, self.io_sets)
 
     def run(self, fetch, emit, record):
-        env = SimpleNamespace(lookup_input=fetch, emit=emit,
-                              subcomponents=self.subcomponents)
-        dsl.evaluate(self.ast, env, io_sets=self.io_sets)
+        dsl.evaluate(self.ast, self.io_sets, fetch, emit, self.subcomponents)
 
 
 def _check_native(body: NativeBody, io_map):
@@ -99,7 +96,13 @@ def _check_native(body: NativeBody, io_map):
 
 
 class Component:
+    """A component spec. Its init body only gives its writes their first
+    values, before its steps: an init body that reads is a FlowError."""
+
     def __init__(self, name, io_map, init_body, step_body, max_steps=None):
+        if init_body is not None and init_body.reads:
+            raise FlowError(f"component {name!r}: an init body may not read, "
+                            f"but it reads {', '.join(sorted(init_body.reads))}")
         self.name = name
         self.io_map = dict(io_map)
         self.init_body = init_body

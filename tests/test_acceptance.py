@@ -18,7 +18,7 @@ from gatedflow import (
     make_component,
     oracle_run,
 )
-from gatedflow.dsl import EvalEnv, evaluate, extract_io, parse, to_source
+from gatedflow.dsl import evaluate, extract_io, parse, to_source
 from gatedflow.errors import DuplicateSubject, IncompleteGraph
 from gatedflow.registry import HyperparameterDescriptor
 from gatedflow.store import DirectoryStore, merge_spool, open_run
@@ -306,12 +306,12 @@ def test_dsl_conformance():
             except ZeroDivisionError:
                 continue
             from gatedflow.dsl import to_source_expr
-            env = evaluate(
-                parse("r = " + to_source_expr(expr)),
-                EvalEnv(inputs=values),
-                io_map={"a": "a", "b": "b", "c": "c", "r": "r"},
-            )
-            assert env.emitted_writes[0][1] == expected
+            ast = parse("r = " + to_source_expr(expr))
+            writes = []
+            evaluate(ast, extract_io(ast, {"a": "a", "b": "b", "c": "c", "r": "r"}),
+                     values.__getitem__,
+                     lambda name, value: writes.append((name, value)))
+            assert writes[0][1] == expected
             checked += 1
 
 

@@ -579,6 +579,21 @@ def test_malformed_experiment_definition_exits_two_before_its_run(
     assert DirectoryStore(root).list_runs() == []
 
 
+def test_an_init_body_that_reads_exits_two_before_its_run(root, tmp_path,
+                                                          capsys):
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump({"max_steps": 3, "components": [
+        {"name": "A", "io_map": {"x": "x", "y": "y"}, "init": "x = 1",
+         "step": "x = y + 1"},
+        {"name": "B", "io_map": {"x": "x", "y": "y"}, "init": "y = x",
+         "step": "y = x * 2"}]}))
+    assert run_cli("run", str(path), "--store-root", root) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert "'B': an init body may not read, but it reads x" in err
+    assert DirectoryStore(root).list_runs() == []
+
+
 @pytest.mark.parametrize("value, code", [
     (2, EXIT_OK), (True, EXIT_USAGE), (2.0, EXIT_USAGE)])
 def test_a_categorical_argument_in_a_file_must_have_its_choices_type(
@@ -662,6 +677,27 @@ class TestListExportPlot:
         assert code == EXIT_USAGE
         assert "no series" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["export", "plot"])
+    @pytest.mark.parametrize("group_by", ["nosuch", "", "component,nosuch"])
+    def test_group_by_a_name_records_lack_is_usage_error(
+            self, root, tmp_path, capsys, command, group_by):
+        self.seeded_runs(root, capsys, n=1)
+        out = tmp_path / "out"
+        code = run_cli(command, "--tag", "alpha", "--group-by", group_by,
+                       "--out", str(out), "--store-root", root)
+        assert code == EXIT_USAGE
+        assert "not a record field" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_group_by_record_fields(self, root, tmp_path, capsys):
+        self.seeded_runs(root, capsys, n=2)
+        out = tmp_path / "alpha.csv"
+        assert run_cli("export", "--tag", "alpha", "--group-by", "tag",
+                       "--out", str(out), "--store-root", root) == EXIT_OK
+        assert out.read_text().splitlines()[1] == "0,2.0,0.0,2"
+        assert run_cli("plot", "--group-by", "run_id,tag", "--out",
+                       str(tmp_path / "all.svg"), "--store-root", root) == EXIT_OK
 
     def test_plot_writes_deterministic_svg(self, root, tmp_path, capsys):
         self.seeded_runs(root, capsys)

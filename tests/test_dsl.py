@@ -11,7 +11,6 @@ from gatedflow.dsl import (
     Assign,
     BinOp,
     CallAssign,
-    EvalEnv,
     IOSets,
     Name,
     Neg,
@@ -202,7 +201,7 @@ class TestExtractIO:
         first = extract_io(ast, io_map)
         # evaluation with different inputs must not change the sets
         for value in (1, 7.5, -3):
-            evaluate(ast, EvalEnv(inputs={"alpha": value}), io_sets=first)
+            run_step(ast, io_map, {"alpha": value}.__getitem__)
         again = extract_io(ast, io_map)
         assert (first.reads, first.writes, first.locals) == (
             again.reads, again.writes, again.locals,
@@ -227,55 +226,56 @@ class TestValidate:
         validate(parse("z = f(x)"), {"x": "x", "z": "z"}, subcomponents=["f"])
 
 
+def run_step(body, io_map, lookup, *callees):
+    """Run ``body``, source or AST, once through ``evaluate`` under the IO
+    sets of ``io_map``, passing ``callees`` if given; returns the writes it
+    emitted, in order."""
+    ast = parse(body) if isinstance(body, str) else body
+    writes = []
+    evaluate(ast, extract_io(ast, io_map), lookup,
+             lambda name, value: writes.append((name, value)), *callees)
+    return writes
+
+
 class TestEvaluate:
     def test_component_a_step(self):
-        env = evaluate(
-            parse("temp = x*y\nz = temp"),
-            EvalEnv(inputs={"x": 1, "y": 1}),
-            io_map={"x": "x", "y": "y", "z": "z"},
-        )
-        assert env.emitted_writes == [("z", 1)]
+        writes = run_step("temp = x*y\nz = temp", {"x": "x", "y": "y", "z": "z"},
+                          {"x": 1, "y": 1}.__getitem__)
+        assert writes == [("z", 1)]
 
     def test_component_c_step(self):
-        env = evaluate(
-            parse("temp = alpha*2\nx = temp\ntemp = alpha/2\ny = temp"),
-            EvalEnv(inputs={"alpha": 2}),
-            io_map={"x": "x", "y": "y", "alpha": "alpha"},
-        )
-        assert env.emitted_writes == [("x", 4), ("y", 1.0)]
-        assert isinstance(env.emitted_writes[0][1], int)
-        assert isinstance(env.emitted_writes[1][1], float)
+        writes = run_step("temp = alpha*2\nx = temp\ntemp = alpha/2\ny = temp",
+                          {"x": "x", "y": "y", "alpha": "alpha"},
+                          {"alpha": 2}.__getitem__)
+        assert writes == [("x", 4), ("y", 1.0)]
+        assert isinstance(writes[0][1], int)
+        assert isinstance(writes[1][1], float)
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
-            evaluate(
-                parse("alpha = x / z"),
-                EvalEnv(inputs={"x": 1, "z": 0}),
-                io_map={"x": "x", "z": "z", "alpha": "alpha"},
-            )
+            run_step("alpha = x / z", {"x": "x", "z": "z", "alpha": "alpha"},
+                     {"x": 1, "z": 0}.__getitem__)
 
     def test_type_mismatch_on_string_operand(self):
         with pytest.raises(TypeMismatch):
-            evaluate(
-                parse("z = x * 2"),
-                EvalEnv(inputs={"x": "oops"}),
-                io_map={"x": "x", "z": "z"},
-            )
+            run_step("z = x * 2", {"x": "x", "z": "z"}, {"x": "oops"}.__getitem__)
 
     def test_type_mismatch_messages(self):
         io_map = {"x": "x", "z": "z"}
         with pytest.raises(TypeMismatch) as binary:
-            evaluate(parse("z = 1 + x"), EvalEnv(inputs={"x": "oops"}),
-                     io_map=io_map)
+            run_step("z = 1 + x", io_map, {"x": "oops"}.__getitem__)
         assert str(binary.value) == "operator '+' requires a number, got 'oops'"
         with pytest.raises(TypeMismatch) as unary:
-            evaluate(parse("z = -x"), EvalEnv(inputs={"x": True}),
-                     io_map=io_map)
+            run_step("z = -x", io_map, {"x": True}.__getitem__)
         assert str(unary.value) == "unary minus requires a number, got True"
 
     def test_missing_input(self):
-        with pytest.raises(MissingInput):
-            evaluate(parse("z = x + 1"), EvalEnv(), io_map={"x": "x", "z": "z"})
+        # IO sets that do not read x leave it unbound in the compiled step
+        sets = IOSets(writes=frozenset({"z"}))
+        with pytest.raises(MissingInput) as err:
+            evaluate(parse("z = x + 1"), sets, {"x": 1}.__getitem__,
+                     lambda name, value: None)
+        assert str(err.value) == "unbound name 'x'"
 
     def test_lazy_fetch_called_once_per_name(self):
         calls = []
@@ -284,49 +284,23 @@ class TestEvaluate:
             calls.append(name)
             return 3
 
-        evaluate(
-            parse("a = x + x\nz = x + a"),
-            EvalEnv(fetch=fetch),
-            io_map={"x": "x", "z": "z"},
-        )
+        run_step("a = x + x\nz = x + a", {"x": "x", "z": "z"}, fetch)
         assert calls == ["x"]
 
     def test_subcomponent_call(self):
-        env = evaluate(
-            parse("mid = scale(alpha)\nbeta = scale(mid)"),
-            EvalEnv(inputs={"alpha": 4}, subcomponents={"scale": lambda v: v * 0.5}),
-            io_map={"alpha": "alpha", "beta": "beta"},
-        )
-        assert env.emitted_writes == [("beta", 1.0)]
-
-    def test_env_copies_the_callers_dicts(self):
-        inputs, subcomponents = {"alpha": 4}, {"scale": lambda v: v * 0.5}
-        env = EvalEnv(inputs=inputs, subcomponents=subcomponents,
-                      fetch=lambda name: 2)
-        subcomponents["scale"] = None
-        evaluate(parse("mid = scale(alpha)\nbeta = mid + gamma"), env,
-                 io_map={"alpha": "alpha", "gamma": "gamma", "beta": "beta"})
-        assert env.emitted_writes == [("beta", 4.0)]
-        assert env.inputs == {"alpha": 4, "gamma": 2}
-        assert inputs == {"alpha": 4}
+        writes = run_step("mid = scale(alpha)\nbeta = scale(mid)",
+                          {"alpha": "alpha", "beta": "beta"},
+                          {"alpha": 4}.__getitem__, {"scale": lambda v: v * 0.5})
+        assert writes == [("beta", 1.0)]
 
     def test_division_always_yields_real(self):
-        env = evaluate(
-            parse("z = x / 2"),
-            EvalEnv(inputs={"x": 4}),
-            io_map={"x": "x", "z": "z"},
-        )
-        assert env.emitted_writes == [("z", 2.0)]
-        assert isinstance(env.emitted_writes[0][1], float)
+        writes = run_step("z = x / 2", {"x": "x", "z": "z"}, {"x": 4}.__getitem__)
+        assert writes == [("z", 2.0)]
+        assert isinstance(writes[0][1], float)
 
     def test_write_callback_fires_in_program_order(self):
-        order = []
-        evaluate(
-            parse("x = 1\ny = 2"),
-            EvalEnv(on_write=lambda name, value: order.append(name)),
-            io_map={"x": "x", "y": "y"},
-        )
-        assert order == ["x", "y"]
+        writes = run_step("x = 1\ny = 2", {"x": "x", "y": "y"}, {}.__getitem__)
+        assert [name for name, value in writes] == ["x", "y"]
 
 
 def eval_tree(expr, values):
@@ -360,12 +334,8 @@ class TestArithmeticConformance:
             except ZeroDivisionError:
                 continue
             source = "r = " + dsl.to_source_expr(expr)
-            env = evaluate(
-                parse(source),
-                EvalEnv(inputs=values),
-                io_map={"a": "a", "b": "b", "c": "c", "r": "r"},
-            )
-            got = env.emitted_writes[0][1]
+            [(name, got)] = run_step(source, {"a": "a", "b": "b", "c": "c", "r": "r"},
+                                     values.__getitem__)
             assert got == expected  # bit-exact, identical operation order
             assert type(got) is type(expected)
             checked += 1
@@ -374,8 +344,7 @@ class TestArithmeticConformance:
         source = "m = a * b / c\nr = m - a + 0.1"
         io_map = {"a": "a", "b": "b", "c": "c", "r": "r"}
         results = {
-            evaluate(parse(source), EvalEnv(inputs={"a": 3, "b": 7.3, "c": 11}),
-                     io_map=io_map).emitted_writes[0][1]
+            run_step(source, io_map, {"a": 3, "b": 7.3, "c": 11}.__getitem__)[0][1]
             for _ in range(5)
         }
         assert len(results) == 1
@@ -395,9 +364,7 @@ class TestCompiledSemantics:
                "z = x * y", "z = y * x", "z = x / y", "z = y / x"]
 
     def run(self, source, **inputs):
-        env = EvalEnv(inputs=inputs)
-        evaluate(parse(source), env, io_map=self.IO)
-        return env.emitted_writes
+        return run_step(source, self.IO, inputs.__getitem__)
 
     @pytest.mark.parametrize("source, zero, message", [
         ("z = x / y", 0, "3 / 0"),
@@ -420,7 +387,7 @@ class TestCompiledSemantics:
                 return {"x": "text", "y": 2}[name]
 
             with pytest.raises(TypeMismatch):
-                evaluate(parse(source), EvalEnv(fetch=fetch), io_map=self.IO)
+                run_step(source, self.IO, fetch)
             assert fetched == ["x"], source
 
     def test_reads_are_fetched_at_first_use_left_to_right(self):
@@ -430,22 +397,20 @@ class TestCompiledSemantics:
             fetched.append(name)
             return 2
 
-        env = evaluate(parse("w = y * 2\nz = x + y + x"), EvalEnv(fetch=fetch),
-                       io_map=self.IO)
+        writes = run_step("w = y * 2\nz = x + y + x", self.IO, fetch)
         assert fetched == ["y", "x"]
-        assert env.emitted_writes == [("w", 4), ("z", 6)]
+        assert writes == [("w", 4), ("z", 6)]
 
     def test_a_body_with_no_statements_runs_and_writes_nothing(self):
         assert self.run("# nothing to do\n") == []
 
     def test_writes_before_a_failing_statement_are_emitted(self):
+        ast = parse("z = x + 1\nt = x / y\nw = t")
         seen = []
-        env = EvalEnv(inputs={"x": 3, "y": 0},
-                      on_write=lambda name, value: seen.append((name, value)))
         with pytest.raises(DivisionByZero):
-            evaluate(parse("z = x + 1\nt = x / y\nw = t"), env, io_map=self.IO)
+            evaluate(ast, extract_io(ast, self.IO), {"x": 3, "y": 0}.__getitem__,
+                     lambda name, value: seen.append((name, value)))
         assert seen == [("z", 4)]
-        assert env.emitted_writes == [("z", 4)]
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_float_subclass_is_a_number(self, source):
@@ -473,15 +438,13 @@ class TestCompiledSemantics:
 
     def test_callee_is_looked_up_when_the_statement_runs(self):
         ast = parse("w = x + 1\nz = scale(x)")
+        sets, lookup = extract_io(ast, self.IO), {"x": 4}.__getitem__
         seen = []
         with pytest.raises(UnknownCallee):
-            evaluate(ast, EvalEnv(inputs={"x": 4}, on_write=lambda *w: seen.append(w)),
-                     io_map=self.IO)
+            evaluate(ast, sets, lookup, lambda *w: seen.append(w))
         assert seen == [("w", 5)]
-        env = evaluate(ast, EvalEnv(inputs={"x": 4},
-                                    subcomponents={"scale": lambda v: v * 0.5}),
-                       io_map=self.IO)
-        assert env.emitted_writes == [("w", 5), ("z", 2.0)]
+        writes = run_step(ast, self.IO, lookup, {"scale": lambda v: v * 0.5})
+        assert writes == [("w", 5), ("z", 2.0)]
 
     def test_names_that_are_python_words_or_compiler_names(self):
         io_map = {name: name for name in (
@@ -521,9 +484,10 @@ class TestCompiledSemantics:
             if stmt.target in sets.writes:
                 expected.append((stmt.target, value))
 
-        env = evaluate(ast, EvalEnv(inputs=inputs, subcomponents=subcomponents),
-                       io_sets=sets)
-        assert env.emitted_writes == expected
+        writes = []
+        evaluate(ast, sets, inputs.__getitem__,
+                 lambda name, value: writes.append((name, value)), subcomponents)
+        assert writes == expected
 
     def test_equal_text_parses_to_one_shared_ast(self):
         source = "z = x * 2.75\n"
@@ -588,8 +552,6 @@ class TestKeptIOSets:
             for _ in range(2):
                 with pytest.raises(error):
                     validate(ast, io_map)
-                with pytest.raises(error):
-                    evaluate(ast, EvalEnv(inputs={"w": 1}), io_map=io_map)
             assert ast._io_sets == {}
 
     def test_one_ast_under_two_io_maps_gives_two_sets(self):
@@ -611,8 +573,8 @@ class TestKeptIOSets:
 
     def test_equality_hashing_and_pickling_ignore_the_kept_sets(self):
         ast = parse("z = x * 3\n")
-        validate(ast, {"x": "x", "z": "z"})
-        evaluate(ast, EvalEnv(inputs={"x": 1}), io_map={"x": "x", "z": "z"})
+        sets = validate(ast, {"x": "x", "z": "z"})
+        evaluate(ast, sets, {"x": 1}.__getitem__, lambda name, value: None)
         assert ast._io_sets and ast._compiled
         fresh = StepAST(ast.statements)
         assert fresh == ast and hash(fresh) == hash(ast)

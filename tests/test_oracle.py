@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gatedflow import build_experiment, make_component, oracle_run
-from gatedflow.errors import OracleStuck
+from gatedflow.errors import FlowError, OracleStuck
 
 from graphgen import random_graph
 
@@ -40,15 +40,13 @@ class TestHandCheckedTraces:
         assert err.value.components == ["A", "B", "C"]
 
     def test_an_init_body_that_reads_is_stuck(self):
-        components = [
+        """No graph holding it reaches the oracle: building the component
+        fails, naming it and its init reads."""
+        with pytest.raises(FlowError) as err:
             make_component("A", {"x": "x", "y": "y"}, init_body="y = x",
-                           step_body="y = x"),
-            make_component("B", {"x": "x", "y": "y"}, init_body="x = 1",
-                           step_body="x = y"),
-        ]
-        with pytest.raises(OracleStuck) as err:
-            oracle_run(components, 2)
-        assert err.value.components == ["A"]
+                           step_body="y = x")
+        assert str(err.value) == (
+            "component 'A': an init body may not read, but it reads x")
 
 
 class TestConfluence:

@@ -33,8 +33,8 @@ def child_env():
 
 PUBLIC_NAMES = [
     "AggregatedSeries", "BindReport", "ChannelRegistry", "Component",
-    "ComponentCollection", "ComponentSpec", "DirectoryStore", "EvalEnv",
-    "ExperimentSpec", "FactoryRecipe", "FlowError", "HyperparameterDescriptor",
+    "ComponentCollection", "ComponentSpec", "DirectoryStore", "ExperimentSpec",
+    "FactoryRecipe", "FlowError", "HyperparameterDescriptor",
     "IOSets", "MetricRecord", "NativeBody", "Observer", "OracleResult",
     "ProxyLogger", "RunLogger", "RunReport", "SearchSpace", "StepAST",
     "Study", "SubcomponentSpec", "Subject", "Trial", "TypeRegistry",
@@ -177,8 +177,9 @@ def test_other_pythons_run_and_study(tmp_path):
 
 # Signatures that changed on purpose: the step timeout is fixed when a
 # collection is built, each channel wait uses the timeout copied at seal,
-# a run logger always makes its own run id, and a chart's labels, size and
-# colours are fixed.
+# a run logger always makes its own run id, a chart's labels, size and
+# colours are fixed, and a step body runs from its IO sets with a plain
+# lookup, emit and callees.
 @pytest.mark.parametrize("fn, params", [
     (gatedflow.ComponentCollection.run, "(self, max_steps=None)"),
     (gatedflow.ComponentCollection.signal_stop, "(self)"),
@@ -195,23 +196,19 @@ def test_other_pythons_run_and_study(tmp_path):
      "(store: 'DirectoryStore', experiment: 'str', seed=None, args=None, "
      "spool=None, chunk=256, interval=1.0)"),
     (gatedflow.render_svg, "(series_list, title='')"),
+    (gatedflow.evaluate,
+     "(ast: 'StepAST', io_sets: 'IOSets', lookup, emit, "
+     "callees=mappingproxy({}))"),
 ], ids=["run", "signal_stop", "collection", "registry", "publish", "observe",
-        "RunLogger", "open_run", "render_svg"])
+        "RunLogger", "open_run", "render_svg", "evaluate"])
 def test_pinned_signatures(fn, params):
     signature = inspect.signature(fn).replace(
         return_annotation=inspect.Signature.empty)
     assert str(signature) == params
 
 
-def test_eval_env_and_io_sets_carry_the_step_protocol():
-    """A compiled step takes a lookup, an emit and the callees, so an
-    ``EvalEnv`` offers ``lookup_input``, ``emit`` and ``subcomponents`` and
-    keeps no locals, and ``extract_io`` returns frozen sets."""
-    env = gatedflow.EvalEnv(inputs={"x": 1})
-    for name in ("emit", "emitted_writes", "inputs", "subcomponents",
-                 "lookup_input"):
-        assert hasattr(env, name), name
-    assert not hasattr(env, "locals")
+def test_io_sets_carry_the_step_protocol():
+    """``extract_io`` returns the frozen sets a compiled step is keyed by."""
     sets = gatedflow.extract_io(gatedflow.parse("t = x + 1\ny = t"),
                                 {"x": "x", "y": "y"})
     assert sets == gatedflow.IOSets(frozenset({"x"}), frozenset({"y"}),

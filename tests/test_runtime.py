@@ -146,19 +146,33 @@ class TestMakeComponent:
     @pytest.mark.parametrize("io_map, init, step, kind", [
         # one observer would serve both reads, each read taking a generation
         ({"a": "x", "b": "x", "y": "y"}, None, "y = a * 10 + b", "read"),
-        ({"a": "x", "b": "x", "y": "y"}, "y = a", "y = b", "read"),
         ({"a": "y", "b": "y"}, None, "a = 1\nb = 2", "write"),
         ({"b": "y", "a": "y"}, "b = 1", "a = 2", "write"),
         ({"a": "y", "b": "y"}, None,
          NativeBody(lambda inputs, ctx: {}, writes={"a", "b"}), "write"),
-    ], ids=["reads", "reads-across-bodies", "writes", "writes-across-bodies",
-            "native-writes"])
+    ], ids=["reads", "writes", "writes-across-bodies", "native-writes"])
     def test_two_names_on_one_namespace_are_rejected(self, io_map, init, step,
                                                      kind):
         with pytest.raises(FlowError) as err:
             make_component("Q", io_map, init_body=init, step_body=step)
         assert str(err.value) == (f"component 'Q': {kind} names 'a' and 'b' "
                                   f"share namespace {io_map['a']!r}")
+
+    @pytest.mark.parametrize("init", [
+        "y = x",
+        NativeBody(lambda inputs, ctx: {"y": inputs["x"]}, reads={"x"},
+                   writes={"y"}),
+    ], ids=["script", "native"])
+    def test_an_init_body_that_reads_is_rejected(self, init):
+        # a run of A and B with B's init reading completed, while
+        # oracle_run called B stuck: refusing the init keeps them agreeing
+        make_component("A", {"x": "x", "y": "y"}, init_body="x = 1",
+                       step_body="x = y + 1")
+        with pytest.raises(FlowError) as err:
+            make_component("B", {"x": "x", "y": "y"}, init_body=init,
+                           step_body="y = x * 2")
+        assert str(err.value) == (
+            "component 'B': an init body may not read, but it reads x")
 
     def test_a_read_and_a_write_may_share_a_namespace(self):
         make_component("A", {"a": "x"}, init_body="a = 0", step_body="a = a + 1")
@@ -221,18 +235,21 @@ class TestCompileOnce:
         calls = []
         evaluate = dsl.evaluate
 
-        def counting(ast, env, **kwargs):
-            calls.append(env)
-            return evaluate(ast, env, **kwargs)
+        def counting(ast, io_sets, lookup, emit, callees):
+            calls.append((lookup, emit, callees))
+            return evaluate(ast, io_sets, lookup, emit, callees)
 
         monkeypatch.setattr(dsl, "evaluate", counting)
-        writes = []
+        writes, runs = [], []
         for x in (1, 2):
-            comp.step_body.run({"x": x}.__getitem__,
-                               lambda *w: writes.append(w), None)
+            fetch, emit = {"x": x}.__getitem__, lambda *w: writes.append(w)
+            runs.append((fetch, emit))
+            comp.step_body.run(fetch, emit, None)
+            assert len(calls) == len(runs)
         assert writes == [("z", 2), ("z", 4)]
-        assert len(calls) == 2 and calls[0] is not calls[1]
-        assert calls[0].subcomponents is comp.step_body.subcomponents
+        for (fetch, emit), (lookup, emitted, callees) in zip(runs, calls):
+            assert lookup is fetch and emitted is emit
+            assert callees is comp.step_body.subcomponents
         assert len(compiles) == 1
 
     def test_a_run_emits_each_write_once_in_order_up_to_a_raise(self):
@@ -472,9 +489,10 @@ class TestSignalStop:
             assert steps <= seen + 2
 
     def test_stop_before_bind_releases_an_init_wait(self):
-        # A's init waits on x, which P publishes only in its steps
-        p = make_component("P", {"x": "x"}, step_body="x = 1")
-        a = make_component("A", {"x": "x", "y": "y"}, init_body="y = x")
+        # an init body may not read, so the wait is a step's: A and P each
+        # wait on the other's first value, which neither publishes
+        p = make_component("P", {"x": "x", "y": "y"}, step_body="x = y")
+        a = make_component("A", {"x": "x", "y": "y"}, step_body="y = x")
         collection = ComponentCollection([p, a], step_timeout=5.0)
         collection.signal_stop()
         collection.bind()
