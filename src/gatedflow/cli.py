@@ -18,7 +18,8 @@ that neither its file nor its experiment gives a step bound exits 2
 before ``study`` or ``emit-batch-script`` writes anything; a body error
 raised while the run runs exits 4. ``run`` stopped by SIGINT or SIGTERM
 closes its run as ``stopped`` and exits 128 + the signal's number: 130
-or 143.
+or 143. An inline definition takes no ``args``; one that gives them
+exits 2 before ``run`` opens a run.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .builtin import register_builtin
 from .errors import FlowError, PrimaryUnavailable, UnknownExperiment
 from .oracle import oracle_run
 from .registry import build_experiment, collect_hyperparameters
-from .runtime import ComponentCollection
 from .store import DirectoryStore, MetricRecord, merge_spool, open_run, query
 from .study import best_trial, run_study
 from .viz import aggregate, export_csv, render_svg
@@ -152,22 +152,19 @@ def cmd_run(args, rest) -> int:
         exp_def.max_steps = args.max_steps
     if args.step_timeout is not None:
         exp_def.step_timeout = args.step_timeout
-    defs._check_limits(exp_def.max_steps, exp_def.step_timeout)
     max_steps = exp_def.max_steps if exp_def.max_steps is not None else default_steps
     # an experiment that cannot be built or bound exits 2 before a run opens
-    components = defs.build_components(registry, exp_def)
+    collection = defs.build_components(registry, exp_def)
     if max_steps is None and any(c.step_body is not None and c.max_steps is None
-                                 for c in components):
+                                 for c in collection.components):
         print("a step bound is required: pass --max-steps", file=sys.stderr)
         return EXIT_USAGE
 
     store, spool = _make_stores(args)
     run = open_run(store, exp_def.label, seed=args.seed, args=exp_def.args,
                    spool=spool)
+    collection.logger = run
     try:
-        collection = ComponentCollection(
-            components, logger=run, step_timeout=exp_def.step_timeout)
-        collection.bind()
         with _stop_on_signals(collection) as signals:
             report = collection.run(max_steps=max_steps)
     except Exception:

@@ -20,6 +20,8 @@ or declare components inline:
         io_map: {alpha: beta}  # treated as an io_map override
     max_steps: 3
 
+An inline definition takes no ``args``: its components have no parameters.
+
 Study definitions:
 
     experiment: ToyStudy
@@ -139,6 +141,9 @@ def load_experiment_definition(path) -> ExperimentDefinition:
     for name in args:
         _check_name("args name", name)
     if components is not None:
+        if args:  # no parameter of an inline component would take them
+            raise DefinitionError(
+                f"{path}: an inline definition takes no args, got {args!r}")
         if not isinstance(components, list):
             raise DefinitionError(f"components must be a list, got {components!r}")
         for entry in components:
@@ -154,16 +159,21 @@ def load_experiment_definition(path) -> ExperimentDefinition:
     )
 
 
-def build_components(registry: TypeRegistry, definition: ExperimentDefinition):
-    """Build the components of a registered or inline definition and bind
-    them once with no logger, so a caller can reject them before it opens a
-    run. A failure of either step (an unknown type, a script that does not
-    parse or check, an unused argument, a repeated name or written
-    namespace, a read namespace no one writes) is a DefinitionError."""
+def build_components(registry: TypeRegistry, definition: ExperimentDefinition
+                     ) -> ComponentCollection:
+    """The bound collection of a registered or inline definition, with the
+    definition's step timeout and no logger, so a caller can reject it
+    before it opens a run, then set its ``logger`` and run it. A step bound
+    or step timeout the runtime cannot use, or a failure to build or bind
+    (an unknown type, a script that does not parse or check, an unused
+    argument, a repeated name or written namespace, a read namespace no one
+    writes), is a DefinitionError."""
+    _check_limits(definition.max_steps, definition.step_timeout)
     if definition.experiment is not None:
         try:
             return build_experiment(registry, definition.experiment,
-                                    definition.args).components
+                                    definition.args,
+                                    step_timeout=definition.step_timeout)
         except FlowError as exc:
             raise DefinitionError(
                 f"experiment {definition.experiment!r}: {exc}") from exc
@@ -193,12 +203,15 @@ def build_components(registry: TypeRegistry, definition: ExperimentDefinition):
                 max_steps=entry.get("max_steps"),
             ))
         except FlowError as exc:
-            raise DefinitionError(f"component {entry['name']!r}: {exc}") from exc
+            exc.component = entry["name"]  # as make_component names its own
+            raise DefinitionError(str(exc)) from exc
     try:
-        ComponentCollection(components).bind()
+        collection = ComponentCollection(components,
+                                         step_timeout=definition.step_timeout)
+        collection.bind()
     except (FlowError, ValueError) as exc:
         raise DefinitionError(f"the components do not bind: {exc}") from exc
-    return components
+    return collection
 
 
 def load_study(path, registry: TypeRegistry, seed=None, n_trials=None,

@@ -19,7 +19,8 @@ program order, holds locals in Python variables and takes callees from
 step through it, and is the one way to run a body. Everything here is pure
 and reentrant; the runtime owns all synchronisation.
 
-Grammar (newline-separated statements):
+The token pattern ``_TOKEN`` is the lexical grammar: blanks and ``#``
+comments between tokens are skipped. Grammar (newline-separated statements):
 
     program   := { statement NEWLINE }
     statement := ident "=" expr | ident "=" ident "(" [expr {"," expr}] ")"
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -117,8 +119,17 @@ class IOSets:
 
 # --- lexer -----------------------------------------------------------------
 
-_OPERATORS = set("+-*/=(),")
-_DIGITS = set("0123456789")  # ASCII only: str.isdigit() also takes "²" and "١"
+# one named alternative per token kind, tried in this order at each offset; a
+# NUMBER takes ASCII digits only (``\d`` and str.isdigit() also take "١" and
+# "²"), and an IDENT, a run of ``\w``, must start with a letter or "_"
+_TOKEN = re.compile(r"""
+    (?P<NEWLINE>\n)
+  | (?P<SKIP>[ \t\r]+ | \#[^\n]*)
+  | (?P<NUMBER>(?:[0-9]|\.[0-9])[0-9.]*(?:[eE][+-]?[0-9]+)?)
+  | (?P<IDENT>\w+)
+  | (?P<OP>[-+*/=(),])
+  | (?P<ERROR>.)
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -131,53 +142,21 @@ class _Token:
 
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            tokens.append(_Token("NEWLINE", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
-            start = i
-            startcol = col
-            while i < n and (source[i] in _DIGITS or source[i] == "."):
-                i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j] in _DIGITS:
-                    i = j
-                    while i < n and source[i] in _DIGITS:
-                        i += 1
-            text = source[start:i]
-            if text.count(".") > 1:
-                raise ScriptSyntaxError(f"malformed number {text!r}", line, startcol)
-            col += i - start
-            tokens.append(_Token("NUMBER", text, line, startcol))
-        elif ch.isalpha() or ch == "_":
-            start = i
-            startcol = col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            col += i - start
-            tokens.append(_Token("IDENT", source[start:i], line, startcol))
-        elif ch in _OPERATORS:
-            tokens.append(_Token("OP", ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ScriptSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        if kind == "SKIP":
+            continue
+        col = match.start() - line_start + 1
+        if kind == "ERROR" or kind == "IDENT" and not (
+                text[0].isalpha() or text[0] == "_"):
+            raise ScriptSyntaxError(f"unexpected character {text[0]!r}", line, col)
+        if kind == "NUMBER" and text.count(".") > 1:
+            raise ScriptSyntaxError(f"malformed number {text!r}", line, col)
+        tokens.append(_Token(kind, text, line, col))
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+    tokens.append(_Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 

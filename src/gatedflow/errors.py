@@ -2,7 +2,19 @@
 
 
 class FlowError(Exception):
-    """Base class for every error raised by gatedflow."""
+    """Base class for every error raised by gatedflow.
+
+    ``component``, once set, names the component whose build raised the
+    error, and the message starts with it: ``make_component`` sets it.
+    """
+
+    component = None
+
+    def __str__(self):
+        message = super().__str__()
+        if self.component is None:
+            return message
+        return f"component {self.component!r}: {message}"
 
 
 # --- channel layer ---

@@ -46,6 +46,11 @@ class _State:
         self.consumed = {
             comp.name: {comp.io_map[r]: 0 for r in comp.reads} for comp in components
         }
+        # a body emits only its component's writes, as a worker publishes
+        # only to its component's subjects
+        self.targets = {
+            comp.name: {w: comp.io_map[w] for w in comp.writes} for comp in components
+        }
 
     def publish(self, ns, value):
         self.sequences.setdefault(ns, []).append(value)
@@ -65,6 +70,7 @@ def _evaluate_body(comp: Component, body, state: _State):
     """Run a body on the generations its component last consumed; returns
     queued writes as (namespace, value) pairs in program order."""
     io_map = comp.io_map
+    targets = state.targets[comp.name]
     consumed = state.consumed[comp.name]
     pending = deque()
 
@@ -72,7 +78,7 @@ def _evaluate_body(comp: Component, body, state: _State):
         ns = io_map[name]
         return state.sequences[ns][consumed[ns] - 1]
 
-    body.run(fetch, lambda name, value: pending.append((io_map[name], value)),
+    body.run(fetch, lambda name, value: pending.append((targets[name], value)),
              discard)
     return pending
 

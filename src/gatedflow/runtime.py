@@ -42,8 +42,10 @@ class NativeBody:
     ``fn(inputs, ctx)`` receives the observed values and a context exposing
     ``record(tag, value)``; it returns a mapping of write name to value.
     ``run`` fetches the reads in sorted order, calls ``fn`` once, and emits
-    the returned writes in the mapping's order. The IO sets are frozen at
-    construction, and the fetch order is computed then.
+    the returned writes in the mapping's order; a returned name that its
+    component does not write is a FlowError, in a run and in the oracle.
+    The IO sets are frozen at construction, and the fetch order is computed
+    then.
     """
 
     fn: object
@@ -58,8 +60,15 @@ class NativeBody:
     def run(self, fetch, emit, record):
         inputs = {name: fetch(name) for name in self._fetch_order}
         outputs = self.fn(inputs, SimpleNamespace(record=record)) or {}
-        for name, value in outputs.items():
-            emit(name, value)
+        try:
+            for name, value in outputs.items():
+                emit(name, value)
+        except KeyError:  # checked only when an emit fails
+            if name in self.writes:
+                raise
+            raise FlowError(
+                f"native body returned {name!r}, which is not among its declared "
+                f"writes ({', '.join(sorted(self.writes)) or 'none'})") from None
 
 
 class ScriptBody:
@@ -101,8 +110,8 @@ class Component:
 
     def __init__(self, name, io_map, init_body, step_body, max_steps=None):
         if init_body is not None and init_body.reads:
-            raise FlowError(f"component {name!r}: an init body may not read, "
-                            f"but it reads {', '.join(sorted(init_body.reads))}")
+            raise FlowError("an init body may not read, but it reads "
+                            + ", ".join(sorted(init_body.reads)))
         self.name = name
         self.io_map = dict(io_map)
         self.init_body = init_body
@@ -134,8 +143,19 @@ def make_component(name, io_map, init_body=None, step_body=None,
     only; the script text itself is never touched, which is what makes
     graph rewiring transparent to component logic. Two read names, or two
     write names, on one namespace are a FlowError: one observer would serve
-    both reads, and two subjects would publish to one namespace.
+    both reads, and two subjects would publish to one namespace. Every
+    FlowError raised here names the component (``FlowError.component``).
     """
+    try:
+        return _component(name, io_map, init_body, step_body, io_map_override,
+                          subcomponents, max_steps)
+    except FlowError as exc:
+        exc.component = name
+        raise
+
+
+def _component(name, io_map, init_body, step_body, io_map_override,
+               subcomponents, max_steps) -> Component:
     effective = dict(io_map)
     if io_map_override:
         bad = set(io_map_override) - set(io_map)
@@ -166,8 +186,8 @@ def make_component(name, io_map, init_body=None, step_body=None,
             other = seen.setdefault(effective[internal], internal)
             if other != internal:
                 raise FlowError(
-                    f"component {name!r}: {kind} names {other!r} and "
-                    f"{internal!r} share namespace {effective[internal]!r}")
+                    f"{kind} names {other!r} and {internal!r} share namespace "
+                    f"{effective[internal]!r}")
     return component
 
 
@@ -183,7 +203,8 @@ class ComponentCollection:
     """Binds components into one channel registry and runs them as threads.
 
     ``logger``, if given, is the only record of a run's values. Its
-    ``proxy(name)`` is called once per component at bind and returns an
+    ``proxy(name)`` is called once per component when ``run()`` starts, so
+    a caller may bind first and set ``logger`` after; it returns an
     object whose ``record(tag, value)`` is called, in order, for each value
     the component initialises or publishes (tagged with the internal write
     name) and for each ``ctx.record``. ``open_run`` returns one that logs
@@ -208,7 +229,7 @@ class ComponentCollection:
         self.logger = logger
         self.registry = ChannelRegistry(default_timeout=self.step_timeout)
         self.bind_report: BindReport | None = None
-        self._bound = None  # per component: (component, observers, subjects, record)
+        self._bound = None  # per component: (component, observers, subjects)
         self._ran = False
 
     # -- graph construction -------------------------------------------------
@@ -226,9 +247,7 @@ class ComponentCollection:
             for internal in sorted(comp.reads):
                 observers[internal] = registry.acquire_observer(
                     comp.io_map[internal], comp.name)
-            record = (self.logger.proxy(comp.name).record
-                      if self.logger is not None else discard)
-            self._bound.append((comp, observers, subjects, record))
+            self._bound.append((comp, observers, subjects))
         self.bind_report = registry.seal_and_bind()
         return self.bind_report
 
@@ -289,11 +308,13 @@ class ComponentCollection:
             except Exception as exc:  # body errors fail the whole collection fast
                 fail("error", exc)
 
-        threads = [
-            threading.Thread(target=worker, args=bound,
-                             name=f"component-{bound[0].name}", daemon=True)
-            for bound in self._bound
-        ]
+        logger = self.logger
+        threads = []
+        for comp, observers, subjects in self._bound:
+            record = discard if logger is None else logger.proxy(comp.name).record
+            threads.append(threading.Thread(
+                target=worker, args=(comp, observers, subjects, record),
+                name=f"component-{comp.name}", daemon=True))
         for t in threads:
             t.start()
 

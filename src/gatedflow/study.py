@@ -168,9 +168,12 @@ def run_study(study: Study, registry, store: DirectoryStore, n_trials: int,
 
     A failed trial (body error, deadlock timeout) is recorded and skipped;
     the study only aborts if every one of the first min(10, n_trials)
-    trials fails. A study that neither it nor its experiment gives a step
-    bound raises ValueError before anything is written.
+    trials fails. A negative ``n_trials``, or a study that neither it nor
+    its experiment gives a step bound, raises ValueError before anything is
+    written.
     """
+    if n_trials < 0:
+        raise ValueError(f"n_trials must be >= 0, got {n_trials}")
     reducer = REDUCERS[study.reduce]
     ledger_lock = threading.Lock()
     sampler_lock = threading.Lock()

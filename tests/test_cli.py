@@ -561,6 +561,7 @@ def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
      "args": {"ComponentF.SubcomponentA.scaler": "abc"}},
     {"experiment": "ToyStudy",
      "args": {"ComponentF.SubcomponentA.scaler": True}},
+    {"components": [COUNTER], "args": {"nosuch.param": 3}},
 ], ids=["args", "components", "entry", "inline-io_map", "typed-io_map",
         "no-name", "no-io_map", "init-not-text", "step-syntax",
         "step-unassigned-name", "unknown-type", "step-non-ascii-digit",
@@ -569,7 +570,7 @@ def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
         "args-name-not-text", "name-not-text", "name-a-number",
         "io_map-name-not-text", "io_map-namespace-not-text",
         "typed-io_map-namespace-not-text", "type-not-text",
-        "arg-out-of-bounds", "arg-not-a-number", "arg-a-bool"])
+        "arg-out-of-bounds", "arg-not-a-number", "arg-a-bool", "inline-args"])
 def test_malformed_experiment_definition_exits_two_before_its_run(
         root, tmp_path, capsys, doc):
     path = tmp_path / "exp.yaml"
@@ -591,7 +592,63 @@ def test_an_init_body_that_reads_exits_two_before_its_run(root, tmp_path,
     err = capsys.readouterr().err
     assert "usage error" in err
     assert "'B': an init body may not read, but it reads x" in err
+    assert err.count("component 'B'") == 1
     assert DirectoryStore(root).list_runs() == []
+
+
+@pytest.mark.parametrize("init, step, message", [
+    ("y = x", "y = x * 2", "an init body may not read, but it reads x"),
+    ("y = 1", "y = (x + 1  # note",
+     "line 1, col 19: expected ')', found 'end of input'"),
+], ids=["init-reads", "step-syntax"])
+def test_a_registered_experiments_build_error_names_the_component_once(
+        root, monkeypatch, capsys, init, step, message):
+    import gatedflow.cli
+
+    def with_a_bad_component(registry=None):
+        registry = register_builtin(registry)
+        io_map = {"x": "x", "y": "y"}
+        registry.register("component", ComponentSpec("A", io_map, init="x = 1",
+                                                     step="x = y + 1"))
+        registry.register("component", ComponentSpec("B", io_map, init=init,
+                                                     step=step))
+        registry.register("experiment", ExperimentSpec(
+            "Pair", [FactoryRecipe("A"), FactoryRecipe("B")]))
+        return registry
+
+    monkeypatch.setattr(gatedflow.cli, "register_builtin", with_a_bad_component)
+    assert run_cli("run", "Pair", "--max-steps", "3",
+                   "--store-root", root) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"usage error: experiment 'Pair': component 'B': {message}" in err
+    assert err.count("component 'B'") == 1
+    assert DirectoryStore(root).list_runs() == []
+
+
+@pytest.mark.parametrize("experiment", ["ToyExperiment", "inline"])
+def test_run_binds_the_one_collection_it_runs(root, tmp_path, monkeypatch,
+                                             experiment):
+    if experiment == "inline":
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({"components": [COUNTER]}))
+        experiment = str(path)
+    bound, ran = [], []
+    bind, run = gatedflow.ComponentCollection.bind, gatedflow.ComponentCollection.run
+
+    def counting_bind(self):
+        bound.append(self)
+        return bind(self)
+
+    def counting_run(self, *args, **kwargs):
+        ran.append(self)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(gatedflow.ComponentCollection, "bind", counting_bind)
+    monkeypatch.setattr(gatedflow.ComponentCollection, "run", counting_run)
+    assert run_cli("run", experiment, "--max-steps", "2", "--step-timeout", "3",
+                   "--store-root", root) == EXIT_OK
+    assert len(bound) == 1 and ran == bound
+    assert ran[0].step_timeout == 3.0
 
 
 @pytest.mark.parametrize("value, code", [

@@ -75,6 +75,27 @@ class TestParse:
             parse(source)
         assert (err.value.line, err.value.column) == (1, column)
 
+    @pytest.mark.parametrize("source, message, line, column", [
+        ("z = (x + 1  # note", "expected ')', found 'end of input'", 1, 19),
+        ("z = (x + 1  # note\ny = 2", "expected ')', found '\\n'", 1, 19),
+        ("a = 1\nb = 1.2.3", "malformed number '1.2.3'", 2, 5),
+        ("a = 1\n\tb = \u00a0", "unexpected character '\\xa0'", 2, 6),
+        ("\u00e9 = x\u00b2 + \u00bd", "unexpected character '\u00bd'", 1, 10),
+    ], ids=["comment-at-end", "comment-before-newline", "two-dots",
+            "nbsp", "vulgar-half"])
+    def test_a_lexical_error_names_its_line_and_column(self, source, message,
+                                                       line, column):
+        # an error at the end of a line that ends in a comment is placed
+        # where the comment ends, as the comment's characters are columns
+        with pytest.raises(ScriptSyntaxError) as err:
+            parse(source)
+        assert str(err.value) == f"line {line}, col {column}: {message}"
+
+    def test_number_forms(self):
+        ast = parse("a = 1.\nb = .5\nc = 1.5e-3\nd = 2E+2\ne = x1\n")
+        assert [s.expr for s in ast] == [Num(1.0), Num(0.5), Num(0.0015),
+                                         Num(200.0), Name("x1")]
+
     def test_precedence(self):
         ast = parse("r = a + b * c")
         assert ast.statements[0].expr == BinOp(

@@ -352,6 +352,13 @@ class TestBind:
 
 
 class TestRun:
+    def test_a_logger_set_after_bind_records_the_run(self):
+        collection = toy_abc()
+        collection.bind()
+        logger = collection.logger = TraceLogger()
+        assert collection.run(max_steps=3).outcome == "completed"
+        assert logger.sequences(collection.components)["z"] == [1, 4, 64]
+
     def test_toy_trace_matches_hand_check(self):
         logger = TraceLogger()
         collection = toy_abc(logger=logger)
@@ -592,6 +599,31 @@ class TestOracleEquivalence:
         if graph == "native_feeds_scripts":  # and so is each ctx.record
             assert [r.value for r in logged if r.tag == "seen"] == \
                 oracle.sequences["fb"][:10]
+
+    @pytest.mark.parametrize("returned", ["y", "x"],
+                             ids=["outside-io_map", "a-read-name"])
+    def test_an_undeclared_native_write_is_a_flow_error_on_both_paths(
+            self, returned):
+        def components():
+            source = make_component("S", {"x": "x"}, init_body="x = 1",
+                                    step_body="x = x + 1")
+            sink = make_component("N", {"x": "x", "z": "z"}, step_body=NativeBody(
+                lambda inputs, ctx: {"z": inputs["x"], returned: 0},
+                reads={"x"}, writes={"z"}))
+            return [source, sink]
+
+        message = (f"native body returned {returned!r}, which is not among "
+                   f"its declared writes (z)")
+        collection = ComponentCollection(components())
+        collection.bind()
+        report = run_before_deadline(collection, max_steps=3)
+        assert report.outcome == "error"
+        assert type(report.error) is FlowError
+        assert str(report.error) == message
+        with pytest.raises(FlowError) as err:
+            oracle_run(components(), 3)
+        assert type(err.value) is FlowError
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_graphs(self, seed):

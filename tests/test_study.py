@@ -370,6 +370,15 @@ class TestRunStudy:
             run_study(study, registry, store, n_trials=1)
         assert store.list_studies() == [] and store.list_runs() == []
 
+    @pytest.mark.parametrize("n_trials", [-1, -20])
+    def test_a_negative_trial_count_raises_before_writing(self, registry, store,
+                                                          n_trials):
+        study = self.make_study(registry)
+        with pytest.raises(ValueError, match=f"n_trials must be >= 0, got {n_trials}"):
+            run_study(study, registry, store, n_trials=n_trials)
+        assert store.list_studies() == [] and store.list_runs() == []
+        assert study.trials == []
+
     def test_zero_trials_is_a_no_op(self, registry, store):
         study = self.make_study(registry)
         run_study(study, registry, store, n_trials=0)
