@@ -1,25 +1,25 @@
 """Command-line front end.
 
 Subcommands: run, study, list, export, plot, merge-spool,
-emit-batch-script, and the debugging helper oracle-run. Flags for
-experiment parameters are generated from the registry, one per collected
-namespaced parameter. stdout carries data (JSON lines); diagnostics go to
-stderr.
+emit-batch-script, and the debugging helper oracle-run, which loads a
+definition file or registered name as run does and prints its oracle
+sequences. Each collected namespaced parameter is a flag, named in full.
+stdout carries data (JSON lines); diagnostics go to stderr.
 
 Exit codes are a stable contract: 0 ok, 2 usage, 3 deadlock timeout,
 4 runtime error, 5 store I/O. A definition file that cannot be read, is
-not UTF-8 YAML, has a name that is not a string, gives an ``args`` value
-its parameter's bounds refuse, or names an experiment, registered or
-inline, that cannot be built or bound exits 2 before ``run`` opens a run,
-as does a run with no run-wide step bound where some component with a
-step body has no ``max_steps`` of its own; an ``export`` or ``plot``
+not UTF-8 YAML, has an unknown key or a name that is not a string, gives
+an ``args`` value its parameter's bounds refuse, or names an experiment,
+registered or inline, that cannot be built or bound exits 2 before ``run``
+opens a run or ``oracle-run`` runs, as does one with no run-wide step
+bound where some component with a step body has no ``max_steps`` of its
+own, and an inline one that gives ``args``; an ``export`` or ``plot``
 ``--group-by`` name that is not a ``MetricRecord`` field exits 2; a study
 that neither its file nor its experiment gives a step bound exits 2
 before ``study`` or ``emit-batch-script`` writes anything; a body error
 raised while the run runs exits 4. ``run`` stopped by SIGINT or SIGTERM
 closes its run as ``stopped`` and exits 128 + the signal's number: 130
-or 143. An inline definition takes no ``args``; one that gives them
-exits 2 before ``run`` opens a run.
+or 143.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import definition as defs
 from .builtin import register_builtin
 from .errors import FlowError, PrimaryUnavailable, UnknownExperiment
 from .oracle import oracle_run
-from .registry import build_experiment, collect_hyperparameters
+from .registry import collect_hyperparameters
 from .store import DirectoryStore, MetricRecord, merge_spool, open_run, query
 from .study import best_trial, run_study
 from .viz import aggregate, export_csv, render_svg
@@ -50,48 +50,36 @@ EXIT_RUNTIME = 4
 EXIT_STORE = 5
 
 
-def _flag_type(desc):
-    def convert(text):
-        if desc.kind == "integer":
-            value = int(text)
-        elif desc.kind == "real":
-            value = float(text)
-        else:  # the choice that prints as the text, so "32" selects int 32
-            value = next((c for c in desc.choices or () if str(c) == text), text)
-        if not desc.contains(value):
-            raise argparse.ArgumentTypeError(
-                f"value {text} not in {desc.choices or desc.bounds}")
-        return value
-
-    return convert
-
-
-def _attach_negative_values(rest) -> list:
-    """Join each negative number ``float()`` reads to the flag before it,
-    ``--x -1e6`` to ``--x=-1e6``, as argparse takes ``-1e6`` or ``-inf`` for
-    an option: every parameter flag takes exactly one value, and its
-    converter decides whether it takes that number."""
-    joined = []
-    for token in rest:
-        flag = joined[-1] if joined else ""
-        if flag.startswith("--") and "=" not in flag and token.startswith("-"):
-            with contextlib.suppress(ValueError):
-                float(token)
-                joined[-1] = f"{flag}={token}"
-                continue
-        joined.append(token)
-    return joined
-
-
 def _parse_experiment_args(registry, experiment, rest) -> dict:
-    """Parse one typed flag per collected parameter, e.g.
-    ``--ComponentF.SubcomponentA.scaler``, into an exp_args mapping; a value
-    its descriptor does not contain exits 2."""
+    """Read ``--name value`` or ``--name=value`` per collected parameter, its
+    name in full and the next token whole as its value (so ``-1e6`` is one),
+    into exp_args; a value its descriptor's kind or bounds refuse exits 2."""
+    params = dict(collect_hyperparameters(registry, experiment))
     parser = argparse.ArgumentParser(prog=f"run {experiment}", add_help=False)
-    for name, desc in collect_hyperparameters(registry, experiment):
-        parser.add_argument(f"--{name}", dest=name, type=_flag_type(desc))
-    namespace = vars(parser.parse_args(_attach_negative_values(rest)))
-    return {name: value for name, value in namespace.items() if value is not None}
+    exp_args = {}
+    tokens = iter(rest)
+    for token in tokens:
+        flag, has_value, text = token.partition("=")
+        desc = params.get(flag[2:]) if flag.startswith("--") else None
+        if desc is None:
+            parser.error(f"unrecognised arguments: {token}")
+        text = text if has_value else next(tokens, None)
+        if text is None:
+            parser.error(f"argument {flag}: expected one argument")
+        try:
+            if desc.kind == "integer":
+                value = int(text)
+            elif desc.kind == "real":
+                value = float(text)
+            else:  # the choice that prints as the text, so "32" selects int 32
+                value = next((c for c in desc.choices or () if str(c) == text), text)
+            if not desc.contains(value):
+                raise ValueError(text)
+        except ValueError:
+            parser.error(f"argument {flag}: {text!r} is not a {desc.kind} value in "
+                         f"{desc.choices or desc.bounds or 'any range'}")
+        exp_args[flag[2:]] = value
+    return exp_args
 
 
 def _add_store_flags(parser):
@@ -135,31 +123,34 @@ def _make_stores(args):
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_run(args, rest) -> int:
+def _load_experiment(args, rest):
+    """The definition ``args.experiment`` names, a file or a registered
+    name, with ``rest`` and the flag overrides applied, its bound collection
+    and its step bound; a refusal is a DefinitionError, so it exits 2."""
     registry = register_builtin()
-    if os.path.exists(args.experiment):
-        exp_def = defs.load_experiment_definition(args.experiment)
-    else:
-        exp_def = defs.ExperimentDefinition(args.experiment)
+    exp_def = (defs.load_experiment_definition(args.experiment)
+               if os.path.exists(args.experiment)
+               else defs.ExperimentDefinition(args.experiment))
     default_steps = None
     if exp_def.experiment is not None:
         exp_def.args.update(_parse_experiment_args(registry, exp_def.experiment, rest))
         default_steps = registry.experiment(exp_def.experiment).default_max_steps
     elif rest:
-        print(f"unrecognised arguments: {' '.join(rest)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise defs.DefinitionError(f"unrecognised arguments: {' '.join(rest)}")
     if args.max_steps is not None:
         exp_def.max_steps = args.max_steps
     if args.step_timeout is not None:
         exp_def.step_timeout = args.step_timeout
     max_steps = exp_def.max_steps if exp_def.max_steps is not None else default_steps
-    # an experiment that cannot be built or bound exits 2 before a run opens
     collection = defs.build_components(registry, exp_def)
     if max_steps is None and any(c.step_body is not None and c.max_steps is None
                                  for c in collection.components):
-        print("a step bound is required: pass --max-steps", file=sys.stderr)
-        return EXIT_USAGE
+        raise defs.DefinitionError("a step bound is required: pass --max-steps")
+    return exp_def, collection, max_steps
 
+
+def cmd_run(args, rest) -> int:
+    exp_def, collection, max_steps = _load_experiment(args, rest)
     store, spool = _make_stores(args)
     run = open_run(store, exp_def.label, seed=args.seed, args=exp_def.args,
                    spool=spool)
@@ -341,10 +332,8 @@ def cmd_emit_batch_script(args, rest) -> int:
 
 
 def cmd_oracle_run(args, rest) -> int:
-    registry = register_builtin()
-    exp_args = _parse_experiment_args(registry, args.experiment, rest)
-    collection = build_experiment(registry, args.experiment, exp_args)
-    result = oracle_run(collection.components, args.max_steps)
+    _, collection, max_steps = _load_experiment(args, rest)
+    result = oracle_run(collection.components, max_steps)
     print(json.dumps({"sequences": result.sequences, "steps": result.steps},
                      sort_keys=True))
     return EXIT_OK
@@ -409,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-run",
                        help="debug: sequential reference interpreter")
-    p.add_argument("experiment")
-    p.add_argument("--max-steps", type=int, required=True)
-    p.set_defaults(fn=cmd_oracle_run, partial=True)
+    p.add_argument("experiment", help="registered experiment name or definition file")
+    p.add_argument("--max-steps", type=int, default=None)
+    p.set_defaults(fn=cmd_oracle_run, partial=True, step_timeout=None)
 
     return parser
 

@@ -68,6 +68,16 @@ def _check_name(field, value):
         raise DefinitionError(f"{field} must be a string, got {value!r}")
 
 
+def _check_keys(where, mapping, known):
+    """Reject a key of ``mapping`` not in ``known``: a misspelt setting would
+    otherwise be ignored."""
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        raise DefinitionError(
+            f"{where}: unknown key {', '.join(map(repr, unknown))} "
+            f"(known: {', '.join(known)})")
+
+
 def _check_int(field, value, minimum=None):
     """Reject a value that is not an int (bools included) or is below ``minimum``."""
     if type(value) is not int or (minimum is not None and value < minimum):
@@ -109,6 +119,8 @@ def _check_entry(entry):
     if not isinstance(entry, dict) or "name" not in entry:
         raise DefinitionError(f"component entry needs a 'name': {entry!r}")
     _check_name("component name", entry["name"])
+    _check_keys(f"component {entry['name']!r}", entry,
+                ("name", "type", "io_map", "init", "step", "max_steps"))
     if entry.get("type") is not None:
         _check_name(f"type of {entry['name']!r}", entry["type"])
     _check_limits(entry.get("max_steps"), None)
@@ -129,6 +141,8 @@ def _check_entry(entry):
 
 def load_experiment_definition(path) -> ExperimentDefinition:
     doc = load_document(path)
+    _check_keys(path, doc, ("experiment", "components", "args", "max_steps",
+                            "step_timeout"))
     experiment = doc.get("experiment")
     components = doc.get("components")
     if (experiment is None) == (components is None):
@@ -223,14 +237,16 @@ def load_study(path, registry: TypeRegistry, seed=None, n_trials=None,
     whose file and experiment both leave the step bound unset, is a
     DefinitionError naming the file."""
     doc = load_document(path)
+    keys = ("direction", "sampler", "seed", "n_trials", "parallelism",
+            "max_steps", "step_timeout")
+    _check_keys(path, doc, ("experiment", "objective") + keys)
     if "experiment" not in doc:
         raise DefinitionError(f"{path}: study definition needs 'experiment'")
     _check_name("experiment", doc["experiment"])
     _check_limits(doc.get("max_steps"), doc.get("step_timeout"))
     objective = doc.get("objective") or {}
     _check_mapping("objective", objective)
-    keys = ("direction", "sampler", "seed", "n_trials", "parallelism",
-            "max_steps", "step_timeout")
+    _check_keys(f"{path}: objective", objective, ("tag", "reduce"))
     settings = {key: doc[key] for key in keys if key in doc}
     for key, setting in (("tag", "objective_tag"), ("reduce", "reduce")):
         if key in objective:

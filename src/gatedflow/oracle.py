@@ -46,11 +46,6 @@ class _State:
         self.consumed = {
             comp.name: {comp.io_map[r]: 0 for r in comp.reads} for comp in components
         }
-        # a body emits only its component's writes, as a worker publishes
-        # only to its component's subjects
-        self.targets = {
-            comp.name: {w: comp.io_map[w] for w in comp.writes} for comp in components
-        }
 
     def publish(self, ns, value):
         self.sequences.setdefault(ns, []).append(value)
@@ -70,7 +65,7 @@ def _evaluate_body(comp: Component, body, state: _State):
     """Run a body on the generations its component last consumed; returns
     queued writes as (namespace, value) pairs in program order."""
     io_map = comp.io_map
-    targets = state.targets[comp.name]
+    targets = {w: io_map[w] for w in body.writes}  # a body emits only its own
     consumed = state.consumed[comp.name]
     pending = deque()
 
@@ -122,16 +117,19 @@ class _Machine:
         return True
 
 
-def oracle_run(components, max_steps: int, scan_order=None) -> OracleResult:
+def oracle_run(components, max_steps: int | None, scan_order=None) -> OracleResult:
     """Fire components until quiescence, recording per-namespace sequences.
+    A component with no ``max_steps`` of its own steps ``max_steps`` times,
+    as in a run; None there, for one with a step body, is a ValueError.
 
     ``scan_order`` overrides the name-sorted scan used to pick the next
     enabled component; the recorded sequences are scan-order independent
     (confluence), which the test suite checks directly.
     """
-    if max_steps is None:
-        raise ValueError("the oracle needs a finite step bound")
     components = list(components)
+    if max_steps is None and any(c.step_body is not None and c.max_steps is None
+                                 for c in components):
+        raise ValueError("a step bound is required: a step body has no max_steps")
     state = _State(components)
     order = list(scan_order) if scan_order is not None else sorted(
         c.name for c in components

@@ -169,9 +169,17 @@ class TypeRegistry:
 def _parameterised(registry: TypeRegistry, experiment: ExperimentSpec):
     """Yield ``(prefix, spec)`` for each type the recipes parameterise, in
     recipe order: a component under its type name, then each slot's
-    subcomponent (sorted slots) under ``Component.Subcomponent``."""
+    subcomponent (sorted slots) under ``Component.Subcomponent``. A recipe
+    slot that its component does not declare is an UnknownType."""
     for recipe in experiment.recipes:
-        yield recipe.target, registry.component(recipe.target)
+        spec = registry.component(recipe.target)
+        undeclared = sorted(set(recipe.slots) - set(spec.slots))
+        if undeclared:
+            raise UnknownType(
+                f"component {recipe.target!r} has no slot "
+                f"{', '.join(map(repr, undeclared))} (its slots: "
+                f"{', '.join(map(repr, spec.slots)) or 'none'})")
+        yield recipe.target, spec
         for slot in sorted(recipe.slots):
             sub_spec = registry.subcomponent(recipe.slots[slot])
             yield f"{recipe.target}.{sub_spec.name}", sub_spec

@@ -42,8 +42,8 @@ class NativeBody:
     ``fn(inputs, ctx)`` receives the observed values and a context exposing
     ``record(tag, value)``; it returns a mapping of write name to value.
     ``run`` fetches the reads in sorted order, calls ``fn`` once, and emits
-    the returned writes in the mapping's order; a returned name that its
-    component does not write is a FlowError, in a run and in the oracle.
+    the returned writes in the mapping's order; a returned name that it
+    does not declare is a FlowError, in a run and in the oracle.
     The IO sets are frozen at construction, and the fetch order is computed
     then.
     """
@@ -278,15 +278,20 @@ class ComponentCollection:
             observes = {internal: observer.observe
                         for internal, observer in observers.items()}
 
+            # a body emits only its own writes, as in the oracle
+            init_subjects, step_subjects = (
+                {w: subjects[w] for w in body.writes} if body is not None else {}
+                for body in (comp.init_body, comp.step_body))
+
             def fetch(internal):
                 return observes[internal]()
 
             def publish(internal, value):
-                subjects[internal].publish(value)
+                step_subjects[internal].publish(value)
                 record(internal, value)
 
             def initialise(internal, value):
-                subjects[internal].initialise_state(value)
+                init_subjects[internal].initialise_state(value)
                 record(internal, value)
 
             try:

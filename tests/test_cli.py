@@ -517,8 +517,10 @@ def test_a_definition_path_that_is_a_directory_exits_two(root, tmp_path,
     ({"experiment": [1]}, [1]),
     ({"objective": {"tag": [1]}}, [1]),
     ({"objective": {"reduce": [1]}}, [1]),
+    ({"n_trial": 5}, "n_trial"),
+    ({"objective": {"tag": "objective", "reducer": "mean"}}, "reducer"),
 ], ids=["direction", "reduce", "sampler", "objective", "experiment-not-text",
-        "tag-not-text", "reduce-not-text"])
+        "tag-not-text", "reduce-not-text", "unknown-key", "objective-unknown-key"])
 def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
     path = study_definition(tmp_path, n_trials=2, **fields)
     assert run_cli("study", path, "--store-root", root) == EXIT_USAGE
@@ -562,6 +564,10 @@ def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
     {"experiment": "ToyStudy",
      "args": {"ComponentF.SubcomponentA.scaler": True}},
     {"components": [COUNTER], "args": {"nosuch.param": 3}},
+    {"components": [COUNTER], "max_step": 5},
+    {"experiment": "ToyStudy", "arg": {"ProductObjective.target": 1.0}},
+    {"components": [{"name": "P", "io_map": {"x": "x"}, "init": "x = 1",
+                     "setp": "x = x + 1"}]},
 ], ids=["args", "components", "entry", "inline-io_map", "typed-io_map",
         "no-name", "no-io_map", "init-not-text", "step-syntax",
         "step-unassigned-name", "unknown-type", "step-non-ascii-digit",
@@ -570,7 +576,8 @@ def test_bad_study_settings_exit_two(root, tmp_path, capsys, fields, bad):
         "args-name-not-text", "name-not-text", "name-a-number",
         "io_map-name-not-text", "io_map-namespace-not-text",
         "typed-io_map-namespace-not-text", "type-not-text",
-        "arg-out-of-bounds", "arg-not-a-number", "arg-a-bool", "inline-args"])
+        "arg-out-of-bounds", "arg-not-a-number", "arg-a-bool", "inline-args",
+        "unknown-key", "registered-unknown-key", "entry-unknown-key"])
 def test_malformed_experiment_definition_exits_two_before_its_run(
         root, tmp_path, capsys, doc):
     path = tmp_path / "exp.yaml"
@@ -910,3 +917,70 @@ class TestOracleRun:
         result = json.loads(capsys.readouterr().out)
         assert result["sequences"]["alpha"] == [2, 8, 80]
         assert result["steps"] == {"A": 3, "B": 3, "C": 3}
+
+    def test_a_file_bounded_by_its_components_matches_its_run(
+            self, root, tmp_path, capsys):
+        """``oracle-run FILE`` loads what ``run FILE`` loads: with no bound
+        flag, its sequences are the values the run stores, per namespace."""
+        components = [{**COUNTER, "max_steps": 3},
+                      {"name": "Q", "io_map": {"x": "x", "y": "doubled"},
+                       "step": "y = x * 2", "max_steps": 2},
+                      {"name": "S", "io_map": {"s": "s"}, "init": "s = 5"}]
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({"components": components}))
+        assert run_cli("oracle-run", str(path)) == EXIT_OK
+        oracle = json.loads(capsys.readouterr().out)
+        assert run_cli("run", str(path), "--store-root", root) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert oracle["steps"] == summary["steps"] == {"P": 3, "Q": 2, "S": 0}
+        io_maps = {c["name"]: c["io_map"] for c in components}
+        stored = {}
+        for rec in DirectoryStore(root).read_records(summary["run_id"]):
+            namespace = io_maps[rec.component][rec.tag]
+            stored.setdefault(namespace, []).append(rec.value)
+        assert oracle["sequences"] == stored == {
+            "x": [1, 2, 3, 4], "doubled": [2, 4], "s": [5]}
+
+    def test_a_registered_default_bound_applies(self, capsys):
+        assert run_cli("oracle-run", "ToyStudy") == EXIT_OK
+        default = json.loads(capsys.readouterr().out)
+        assert default["steps"] == {"F": 1, "Objective": 1, "Source": 1}
+        assert run_cli("oracle-run", "ToyStudy", "--max-steps", "1") == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == default
+
+    def test_no_step_bound_exits_two(self, capsys):
+        assert run_cli("oracle-run", "ToyExperimentPlain") == EXIT_USAGE
+        assert "step bound is required" in capsys.readouterr().err
+
+    def test_experiment_flags_reach_the_factory(self, capsys):
+        assert run_cli("oracle-run", "ToyStudy",
+                       "--ComponentF.SubcomponentA.scaler=0.5") == EXIT_OK
+        # alpha 1 scaled by 0.5, then by SubcomponentB's default 0.2
+        beta, = json.loads(capsys.readouterr().out)["sequences"]["beta"]
+        assert beta == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-run"])
+@pytest.mark.parametrize("flags", [
+    ["--ComponentF.SubcomponentA.sc", "0.5"],
+    ["--ProductObjective.target", "abc"],
+    ["--ProductObjective.target", "--ComponentF.SubcomponentA.scaler", "0.5"],
+    ["--ProductObjective.target"],
+    ["ComponentF.SubcomponentA.scaler", "0.5"],
+], ids=["abbreviated", "not-a-number", "a-flag-as-the-value", "no-value",
+        "no-dashes"])
+def test_a_flag_that_names_no_parameter_in_full_or_has_no_value_exits_two(
+        root, capsys, command, flags):
+    store = ["--store-root", root] if command == "run" else []
+    assert run_cli(command, "ToyStudy", *flags, *store) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert DirectoryStore(root).list_runs() == []
+
+
+def test_arguments_to_an_inline_run_are_a_usage_error(root, tmp_path, capsys):
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump({"components": [COUNTER], "max_steps": 2}))
+    assert run_cli("run", str(path), "--bogus", "1",
+                   "--store-root", root) == EXIT_USAGE
+    assert "usage error: unrecognised arguments: --bogus 1" in capsys.readouterr().err
+    assert DirectoryStore(root).list_runs() == []

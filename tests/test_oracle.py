@@ -85,5 +85,19 @@ class TestBounds:
         assert result.steps == {"P": 2}
 
     def test_requires_finite_bound(self):
-        with pytest.raises(ValueError):
-            oracle_run([], None)
+        """None as the bound is refused only where a step body has no
+        ``max_steps`` of its own."""
+        bounded = make_component("P", {"a": "a"}, init_body="a = 1",
+                                 step_body="a = a + 1", max_steps=2)
+        unbounded = make_component("Q", {"a": "a", "b": "b"}, step_body="b = a")
+        with pytest.raises(ValueError, match="step bound is required"):
+            oracle_run([bounded, unbounded], None)
+
+    def test_components_bounded_on_their_own_need_no_bound(self):
+        producer = make_component("P", {"a": "a"}, init_body="a = 1",
+                                  step_body="a = a + 1", max_steps=2)
+        source = make_component("S", {"s": "s"}, init_body="s = 5")
+        result = oracle_run([producer, source], None)
+        assert result.sequences == {"a": [1, 2, 3], "s": [5]}
+        assert result.steps == {"P": 2, "S": 0}
+        assert oracle_run([], None).steps == {}

@@ -63,6 +63,32 @@ def test_cli_subcommands():
     assert list(subparsers.choices) == SUBCOMMANDS
 
 
+# per subcommand: its positional arguments, then the flags it requires; a
+# change to what a subcommand accepts is made here on purpose
+SUBCOMMAND_ARGUMENTS = {
+    "run": (["experiment"], []),
+    "study": (["definition"], []),
+    "list": ([], []),
+    "export": ([], ["--out"]),
+    "plot": ([], ["--out"]),
+    "merge-spool": ([], []),
+    "emit-batch-script": (["definition"], ["--out"]),
+    "oracle-run": (["experiment"], []),
+}
+
+
+def test_cli_subcommand_arguments():
+    subparsers, = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    found = {}
+    for name, parser in subparsers.choices.items():
+        actions = parser._actions
+        found[name] = ([a.dest for a in actions if not a.option_strings],
+                       [a.option_strings[0] for a in actions
+                        if a.option_strings and a.required])
+    assert found == SUBCOMMAND_ARGUMENTS
+
+
 def test_exit_codes():
     assert (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_TIMEOUT, cli.EXIT_RUNTIME,
             cli.EXIT_STORE) == (0, 2, 3, 4, 5)

@@ -220,6 +220,25 @@ class TestCollect:
         assert [n for n, _ in first] == [n for n, _ in second]
 
 
+@pytest.mark.parametrize("entry", [collect_hyperparameters, build_experiment],
+                         ids=["collect_hyperparameters", "build_experiment"])
+@pytest.mark.parametrize("target, slots, message", [
+    ("ComponentD", {"typo": "SubcomponentA"},
+     "component 'ComponentD' has no slot 'typo' (its slots: none)"),
+    ("ComponentF", {"subA": "SubcomponentA", "subC": "SubcomponentB"},
+     "component 'ComponentF' has no slot 'subC' (its slots: 'subA', 'subB')"),
+], ids=["no-slots", "a-typo"])
+def test_a_recipe_slot_its_component_does_not_declare_is_refused(
+        registry, entry, target, slots, message):
+    """Such a slot's subcomponent would give a study a dimension that no
+    body reads."""
+    registry.register("experiment", ExperimentSpec(
+        name="Typo", recipes=[FactoryRecipe(target, slots=slots)]))
+    with pytest.raises(UnknownType) as err:
+        entry(registry, "Typo")
+    assert str(err.value) == message
+
+
 class TestBuildExperiment:
     def test_toy_experiment_runs(self, registry):
         logger = TraceLogger()

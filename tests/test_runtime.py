@@ -625,6 +625,33 @@ class TestOracleEquivalence:
         assert type(err.value) is FlowError
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("body", ["init", "step"])
+    def test_a_body_emits_only_its_own_writes_on_both_paths(self, body):
+        """A component writes x from its init and y from its step; neither
+        body may emit the other's write."""
+        outputs = {"init": {"x": 1}, "step": {"y": 2}}
+        own, stray = ("x", "y") if body == "init" else ("y", "x")
+        outputs[body][stray] = 99
+
+        def components():
+            init = NativeBody(lambda inputs, ctx: outputs["init"], writes={"x"})
+            step = NativeBody(lambda inputs, ctx: outputs["step"], writes={"y"})
+            return [make_component("A", {"x": "x", "y": "y"}, init_body=init,
+                                   step_body=step)]
+
+        message = (f"native body returned {stray!r}, which is not among its "
+                   f"declared writes ({own})")
+        collection = ComponentCollection(components())
+        collection.bind()
+        report = run_before_deadline(collection, max_steps=3)
+        assert report.outcome == "error"
+        assert type(report.error) is FlowError
+        assert str(report.error) == message
+        with pytest.raises(FlowError) as err:
+            oracle_run(components(), 3)
+        assert type(err.value) is FlowError
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("seed", range(20))
     def test_random_graphs(self, seed):
         collection, oracle_components, logger = build_twin(31400 + seed)
