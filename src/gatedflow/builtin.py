@@ -90,7 +90,7 @@ def register_builtin(registry: TypeRegistry | None = None) -> TypeRegistry:
         name="AlphaSource",
         io_map={"alpha": "alpha"},
         init="alpha = 1\n",
-        step="",
+        step="alpha = 1\n",
     ))
     registry.register("component", ComponentSpec(
         name="ProductObjective",

@@ -3,7 +3,7 @@
 Subcommands: run, study, list, export, plot, merge-spool,
 emit-batch-script, and the debugging helper oracle-run, which loads a
 definition file or registered name as run does and prints its oracle
-sequences. Each collected namespaced parameter is a flag, named in full.
+sequences. Every option, and each namespaced parameter's flag, is named in full.
 stdout carries data (JSON lines); diagnostics go to stderr.
 
 Exit codes are a stable contract: 0 ok, 2 usage, 3 deadlock timeout,
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import shlex
@@ -343,8 +344,9 @@ def cmd_oracle_run(args, rest) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gatedflow")
-    sub = parser.add_subparsers(dest="command", required=True)
+    in_full = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = in_full(prog="gatedflow")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=in_full)
 
     p = sub.add_parser("run", help="build and run an experiment")
     p.add_argument("experiment", help="registered experiment name or definition file")

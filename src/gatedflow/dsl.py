@@ -546,4 +546,8 @@ def evaluate(ast: StepAST, io_sets: IOSets, lookup, emit,
     exact, reals are IEEE doubles, mixed operands promote to real, and
     division always yields a real.
     """
-    compile_body(ast, io_sets)(lookup, emit, callees)
+    try:  # the key compile_body makes, when the sets are frozensets
+        fn = ast._compiled[io_sets.reads, io_sets.writes]
+    except (KeyError, TypeError):  # first use, or sets that do not hash
+        fn = compile_body(ast, io_sets)
+    fn(lookup, emit, callees)

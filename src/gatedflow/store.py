@@ -10,13 +10,13 @@ Layout (one directory tree per store root):
 Components log through a ProxyLogger whose record() call encodes the value
 first, then, under the run's plain lock, numbers the record's line and
 appends it to the run's one buffer; a writer thread commits the buffered
-lines in chunks. A condition on that lock serves only the writer and
-record()'s slow path, taken when the run is closed, its writer died, or
-chunk + QUEUE_CAPACITY records wait for the writer: record() blocks only
-then, and a dead writer's error is raised to producers blocked there too.
-When the primary store cannot be
-written, chunks divert to a local spool with the identical layout, to be
-merged back later with merge_spool().
+lines in chunks of CHUNK lines, or a partial chunk after INTERVAL seconds.
+A condition on that lock serves only the writer and record()'s slow path,
+taken when the run is closed, its writer died, or CHUNK + QUEUE_CAPACITY
+records wait for the writer: record() blocks only then, and a dead writer's
+error is raised to producers blocked there too. When the primary store
+cannot be written, chunks divert to a local spool with the identical layout,
+to be merged back later with merge_spool().
 
 The .ndjson files are append-only logs with one writer each: chunks are
 appended in place and fsynced, all or nothing. Readers skip a torn last line,
@@ -51,9 +51,9 @@ from dataclasses import dataclass
 
 from .errors import PrimaryUnavailable, RunClosed
 
-DEFAULT_CHUNK = 256
-DEFAULT_INTERVAL = 1.0
-QUEUE_CAPACITY = 65536
+CHUNK = 256  # lines the writer takes and commits at a time
+INTERVAL = 1.0  # seconds after which the writer takes a partial chunk
+QUEUE_CAPACITY = 65536  # lines buffered beyond one chunk before record() waits
 
 #: the order of query's results: MetricRecord.key, without the property call
 RECORD_ORDER = operator.attrgetter("run_id", "component", "tag", "step")
@@ -328,7 +328,7 @@ class ProxyLogger:
     value that json cannot encode raises TypeError here, in its caller, and
     takes no step. Then, under the run's plain lock, it numbers the line with
     the run's (component, tag) counter and buffers it. Only a closed run, a
-    dead writer or a full buffer (chunk + QUEUE_CAPACITY lines) sends it down
+    dead writer or a full buffer (CHUNK + QUEUE_CAPACITY lines) sends it down
     the slow path, which waits on the run's condition for room or raises
     RunClosed or the writer's error. The counters stay in the run, so two
     proxies of one component share one numbering."""
@@ -362,7 +362,7 @@ class ProxyLogger:
             # _line's bytes: an int and a finite float print as json writes them
             buffer.append(f'{head}{step},"w":'
                           f'{time.monotonic() - run._start!r},"v":{text}}}')
-            if len(buffer) == run.chunk:
+            if len(buffer) == CHUNK:
                 run._cond.notify()  # only the writer can be waiting here
 
 
@@ -374,21 +374,16 @@ class RunLogger:
     that lock serves only the writer and record()'s slow path: producers
     blocked on a full buffer, or the writer waiting for a chunk. The writer
     takes at most one chunk at a time and writes it outside the lock; it
-    takes a partial chunk once `interval` has passed since its last take."""
+    takes a partial chunk once INTERVAL has passed since its last take."""
 
-    def __init__(self, store: DirectoryStore, meta: dict, spool=None,
-                 chunk: int = DEFAULT_CHUNK, interval: float = DEFAULT_INTERVAL):
-        if type(chunk) is not int or chunk < 1:
-            raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
+    def __init__(self, store: DirectoryStore, meta: dict, spool=None):
         self.store = store
         self.spool = spool
         self.run_id = new_run_id()
         self.meta = dict(meta)
-        self.chunk = chunk
-        self.interval = interval
         self.failed_flushes = 0
         self.spooled_records = 0
-        self._limit = chunk + QUEUE_CAPACITY
+        self._limit = CHUNK + QUEUE_CAPACITY
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._buffer: list[str] = []
@@ -435,13 +430,13 @@ class RunLogger:
         taken = time.monotonic()
         while True:
             with self._cond:
-                self._cond.wait_for(  # the floor keeps interval 0 from spinning
-                    lambda: len(self._buffer) >= self.chunk or self._closed,
-                    max(0.01, self.interval - (time.monotonic() - taken)))
+                self._cond.wait_for(
+                    lambda: len(self._buffer) >= CHUNK or self._closed,
+                    INTERVAL - (time.monotonic() - taken))
                 if self._closed and not self._buffer:
                     return
-                lines = self._buffer[:self.chunk]
-                del self._buffer[:self.chunk]
+                lines = self._buffer[:CHUNK]
+                del self._buffer[:CHUNK]
                 self._cond.notify_all()  # producers held by backpressure
             taken = time.monotonic()
             try:
@@ -500,11 +495,12 @@ class RunLogger:
 
 
 def open_run(store: DirectoryStore, experiment: str, seed=None, args=None,
-             spool=None, chunk=DEFAULT_CHUNK, interval=DEFAULT_INTERVAL) -> RunLogger:
+             spool=None) -> RunLogger:
+    """Log a run of ``experiment`` to ``store``, and to ``spool`` on failure."""
     meta = {
         "experiment": experiment,
         "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "seed": seed,
         "args": dict(args or {}),
     }
-    return RunLogger(store, meta, spool=spool, chunk=chunk, interval=interval)
+    return RunLogger(store, meta, spool=spool)

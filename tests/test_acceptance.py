@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import gatedflow.store
 from gatedflow import (
     ComponentCollection,
     build_experiment,
@@ -192,7 +193,8 @@ def test_sampler_bounds():
 def test_store_no_loss_and_failover(registry, tmp_path, monkeypatch):
     with criterion("store no-loss (10000 records, chunk 256)", 30.0):
         store = DirectoryStore(tmp_path / "noloss")
-        run = open_run(store, "Accept", chunk=256)
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 256)
+        run = open_run(store, "Accept")
         proxy = run.proxy("A")
         for i in range(10000):
             proxy.record("metric", float(i))
@@ -214,14 +216,16 @@ def test_store_no_loss_and_failover(registry, tmp_path, monkeypatch):
             return real(self_, run_id, recs)
 
         monkeypatch.setattr(DirectoryStore, "append_records", flaky)
-        run = open_run(store, "Accept", spool=spool, chunk=256, interval=0.02)
-        proxy = run.proxy("A")
-        for i in range(10000):
-            if i == 4000:
-                failing["on"] = True
-                time.sleep(0.1)  # let buffered chunks hit the dead primary
-            proxy.record("metric", float(i))
-        run.close()
+        with monkeypatch.context() as policy:
+            policy.setattr(gatedflow.store, "INTERVAL", 0.02)
+            run = open_run(store, "Accept", spool=spool)
+            proxy = run.proxy("A")
+            for i in range(10000):
+                if i == 4000:
+                    failing["on"] = True
+                    time.sleep(0.1)  # let buffered chunks hit the dead primary
+                proxy.record("metric", float(i))
+            run.close()
         failing["on"] = False
         assert run.spooled_records > 0
         report = merge_spool(store, spool)
@@ -256,14 +260,14 @@ def test_store_no_loss_and_failover(registry, tmp_path, monkeypatch):
                     logger.store.read_records(logger.run_id)]
 
         monkeypatch.setattr(DirectoryStore, "append_records", real)
-        plain = open_run(DirectoryStore(tmp_path / "unstalled"), "Accept",
-                         chunk=64)
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 64)
+        plain = open_run(DirectoryStore(tmp_path / "unstalled"), "Accept")
         try:
             complete(plain, stall=False)
         finally:
             plain.close()
         monkeypatch.setattr(DirectoryStore, "append_records", stalled)
-        run = open_run(DirectoryStore(tmp_path / "stalled"), "Accept", chunk=64)
+        run = open_run(DirectoryStore(tmp_path / "stalled"), "Accept")
         try:
             complete(run, stall=True)
             assert logged(run) == []  # the writer is still in its first append

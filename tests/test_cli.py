@@ -977,6 +977,16 @@ def test_a_flag_that_names_no_parameter_in_full_or_has_no_value_exits_two(
     assert DirectoryStore(root).list_runs() == []
 
 
+@pytest.mark.parametrize("command", ["run", "oracle-run"])
+def test_subcommand_options_are_matched_in_full(root, capsys, command):
+    store = ["--store-root", root] if command == "run" else []
+    assert run_cli(command, "ToyStudy", "--max", "2", *store) == EXIT_USAGE
+    assert "--max" in capsys.readouterr().err
+    assert DirectoryStore(root).list_runs() == []
+    assert run_cli(command, "ToyStudy", "--max-steps", "2", *store) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["steps"]["Source"] == 2
+
+
 def test_arguments_to_an_inline_run_are_a_usage_error(root, tmp_path, capsys):
     path = tmp_path / "exp.yaml"
     path.write_text(yaml.safe_dump({"components": [COUNTER], "max_steps": 2}))

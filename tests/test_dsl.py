@@ -298,6 +298,27 @@ class TestEvaluate:
                      lambda name, value: None)
         assert str(err.value) == "unbound name 'x'"
 
+    def test_a_warm_call_does_not_compile(self, monkeypatch):
+        ast = parse("z = x + 1\n")
+        frozen = IOSets(frozenset({"x"}), frozenset({"z"}))
+        plain = IOSets({"x"}, {"z"})  # sets that do not hash still run
+        compiles = []
+        compile_body = dsl.compile_body
+
+        def spy(ast_, io_sets):
+            compiles.append(io_sets)
+            return compile_body(ast_, io_sets)
+
+        monkeypatch.setattr(dsl, "compile_body", spy)
+        writes = []
+        for sets in (frozen, frozen, plain, frozen, plain):
+            evaluate(ast, sets, {"x": 1}.__getitem__,
+                     lambda name, value: writes.append((name, value)))
+        assert writes == [("z", 2)] * 5
+        # the first call compiles; only unhashable sets find it through
+        # compile_body after that
+        assert compiles == [frozen, plain, plain]
+
     def test_lazy_fetch_called_once_per_name(self):
         calls = []
 

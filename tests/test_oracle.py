@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from gatedflow import build_experiment, make_component, oracle_run
+from gatedflow import (
+    build_experiment,
+    make_component,
+    open_run,
+    oracle_run,
+    query,
+)
 from gatedflow.errors import FlowError, OracleStuck
 
 from graphgen import random_graph
@@ -30,6 +36,20 @@ class TestHandCheckedTraces:
         assert result.sequences["alpha"] == [2, 24]
         assert result.sequences["beta"] == [4, 48]
         assert result.sequences["x"] == [1, 8, 96]
+
+    def test_toy_study_runs_to_any_bound_as_the_oracle_does(self, registry,
+                                                            store):
+        oracle = oracle_run(toy_components(registry, "ToyStudy"), 3)
+        assert oracle.sequences["alpha"] == [1, 1, 1, 1]
+        run = open_run(store, "ToyStudy")
+        collection = build_experiment(registry, "ToyStudy", logger=run,
+                                      step_timeout=2.0)
+        report = collection.run(max_steps=3)
+        run.close(outcome=report.outcome)
+        assert report.outcome == "completed"
+        for component, tag in (("Source", "alpha"), ("F", "beta")):
+            stored = query(store, component=component, tag=tag)
+            assert [r.value for r in stored] == oracle.sequences[tag]
 
     def test_graph_without_init_is_stuck(self, registry):
         components = toy_components(registry, "ToyExperimentPlain")

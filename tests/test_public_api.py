@@ -203,9 +203,9 @@ def test_other_pythons_run_and_study(tmp_path):
 
 # Signatures that changed on purpose: the step timeout is fixed when a
 # collection is built, each channel wait uses the timeout copied at seal,
-# a run logger always makes its own run id, a chart's labels, size and
-# colours are fixed, and a step body runs from its IO sets with a plain
-# lookup, emit and callees.
+# a run logger always makes its own run id and flushes by the store
+# module's constants, a chart's labels, size and colours are fixed, and a
+# step body runs from its IO sets with a plain lookup, emit and callees.
 @pytest.mark.parametrize("fn, params", [
     (gatedflow.ComponentCollection.run, "(self, max_steps=None)"),
     (gatedflow.ComponentCollection.signal_stop, "(self)"),
@@ -216,11 +216,10 @@ def test_other_pythons_run_and_study(tmp_path):
     (gatedflow.Subject.publish, "(self, value)"),
     (gatedflow.Observer.observe, "(self)"),
     (gatedflow.RunLogger.__init__,
-     "(self, store: 'DirectoryStore', meta: 'dict', spool=None, "
-     "chunk: 'int' = 256, interval: 'float' = 1.0)"),
+     "(self, store: 'DirectoryStore', meta: 'dict', spool=None)"),
     (gatedflow.open_run,
      "(store: 'DirectoryStore', experiment: 'str', seed=None, args=None, "
-     "spool=None, chunk=256, interval=1.0)"),
+     "spool=None)"),
     (gatedflow.render_svg, "(series_list, title='')"),
     (gatedflow.evaluate,
      "(ast: 'StepAST', io_sets: 'IOSets', lookup, emit, "

@@ -315,8 +315,9 @@ class TestAnalyseOnce:
         study = study_from_descriptors(registry, "ToyStudy", seed=3)
         run_study(study, registry, store, n_trials=3)
         assert [t.state for t in study.trials] == ["complete"] * 3
-        # the source's init and empty step, and ComponentF's step
-        assert len(walks) == 3 and set(walks.values()) == {1}
+        # the source's init and step, one body parsed from equal text, and
+        # ComponentF's step
+        assert len(walks) == 2 and set(walks.values()) == {1}
 
 
 class TestBind:

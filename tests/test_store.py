@@ -24,6 +24,7 @@ from gatedflow import (
     Trial,
     build_experiment,
     make_component,
+    oracle_run,
 )
 from gatedflow.errors import PrimaryUnavailable, RunClosed
 from gatedflow.store import (
@@ -34,6 +35,8 @@ from gatedflow.store import (
     open_run,
     query,
 )
+
+import graphgen
 
 
 def make_records(run_id, n, tag="loss", component="A"):
@@ -190,12 +193,16 @@ class TestLineEncoder:
                              random_number(rng), random_value(rng))
                 for _ in range(n)]
 
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 16)
+
     def log(self, store, recorded):
         """Record each (component, tag, value) through a real RunLogger;
         return the bytes of its metrics.ndjson and the json.dumps lines of
         the same records, with the steps counted per (component, tag) key
         and the wall times the logger stamped."""
-        run = open_run(store, "Toy", chunk=16)
+        run = open_run(store, "Toy")
         for component, tag, value in recorded:
             run.proxy(component).record(tag, value)
         run.close()
@@ -607,8 +614,10 @@ class TestRunLogger:
         assert store.read_meta(closed.run_id)["seed"] == 5
         assert len(store.read_records(closed.run_id)) == 1
 
-    def test_small_batches_held_until_interval_or_close(self, store):
-        run = open_run(store, "Toy", interval=60.0)
+    def test_small_batches_held_until_interval_or_close(self, store,
+                                                        monkeypatch):
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 60.0)
+        run = open_run(store, "Toy")
         proxy = run.proxy("A")
         for i in range(10):
             proxy.record("loss", float(i))
@@ -617,8 +626,10 @@ class TestRunLogger:
         run.close()
         assert len(store.read_records(run.run_id)) == 10
 
-    def test_full_chunk_flushes_without_close(self, store):
-        run = open_run(store, "Toy", chunk=50, interval=60.0)
+    def test_full_chunk_flushes_without_close(self, store, monkeypatch):
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 50)
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 60.0)
+        run = open_run(store, "Toy")
         proxy = run.proxy("A")
         for i in range(50):
             proxy.record("loss", float(i))
@@ -630,8 +641,10 @@ class TestRunLogger:
         assert len(store.read_records(run.run_id)) == 50
         run.close()
 
-    def test_interval_flushes_partial_chunk(self, store):
-        run = open_run(store, "Toy", chunk=1000, interval=0.1)
+    def test_interval_flushes_partial_chunk(self, store, monkeypatch):
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 1000)
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 0.1)
+        run = open_run(store, "Toy")
         run.proxy("A").record("loss", 1.0)
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
@@ -650,7 +663,9 @@ class TestRunLogger:
             return real(self, run_id, records)
 
         monkeypatch.setattr(DirectoryStore, "append_records", spy)
-        run = open_run(store, "Toy", chunk=256, interval=60.0)
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 256)
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 60.0)
+        run = open_run(store, "Toy")
         proxy = run.proxy("A")
         for i in range(1000):
             proxy.record("loss", float(i))
@@ -661,14 +676,8 @@ class TestRunLogger:
         assert sizes.count(256) >= 2
         assert len(store.read_records(run.run_id)) == 1000
 
-    @pytest.mark.parametrize("chunk", [0, -1, 2.5])
-    def test_chunk_must_be_a_positive_integer(self, store, chunk):
-        # chunk 0 would make the writer take empty chunks forever
-        with pytest.raises(ValueError, match="chunk"):
-            open_run(store, "Toy", chunk=chunk)
-
-    def test_zero_interval_polls_instead_of_spinning(self, store,
-                                                     monkeypatch):
+    def test_short_interval_polls_instead_of_spinning(self, store,
+                                                      monkeypatch):
         takes = []
         real = RunLogger._flush
 
@@ -677,7 +686,8 @@ class TestRunLogger:
             return real(self_, records)
 
         monkeypatch.setattr(RunLogger, "_flush", counting)
-        run = open_run(store, "Toy", interval=0.0)
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 0.01)
+        run = open_run(store, "Toy")
         proxy = run.proxy("A")
         for i in range(3):
             proxy.record("loss", float(i))
@@ -685,6 +695,56 @@ class TestRunLogger:
         run.close()
         assert [r.step for r in store.read_records(run.run_id)] == [0, 1, 2]
         assert len(takes) < 100  # about 20 at one take per 10 ms
+
+
+class TestFlushPolicy:
+    """The module's CHUNK and INTERVAL carry the whole flush policy: a random
+    graph's run stores every step of every series at any chunk size, and a
+    partial chunk reaches the disk by the interval, before close()."""
+
+    STEPS = 30
+
+    def run_random_graph(self, store, seed):
+        run = open_run(store, "Random")
+        collection = ComponentCollection(
+            graphgen.random_graph(random.Random(seed)), step_timeout=10.0,
+            logger=run)
+        collection.bind()
+        assert collection.run(max_steps=self.STEPS).outcome == "completed"
+        return run, oracle_run(graphgen.random_graph(random.Random(seed)),
+                               self.STEPS)
+
+    def stored_series(self, store, run):
+        series = {}
+        for rec in query(store, run_ids=[run.run_id]):
+            series.setdefault((rec.component, rec.tag), []).append(rec)
+        return series
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_every_step_is_stored_at_any_chunk(self, store, monkeypatch,
+                                               chunk):
+        monkeypatch.setattr(gatedflow.store, "CHUNK", chunk)
+        for seed in (61000, 61001):
+            run, oracle = self.run_random_graph(store, seed)
+            run.close()
+            series = self.stored_series(store, run)
+            assert {tag for _, tag in series} == set(oracle.sequences)
+            for (_, tag), records in series.items():
+                assert [r.step for r in records] == list(range(self.STEPS + 1))
+                assert [r.value for r in records] == oracle.sequences[tag]
+
+    def test_a_partial_chunk_is_stored_before_close(self, store, monkeypatch):
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 1_000_000)
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 0.05)
+        run, oracle = self.run_random_graph(store, 61002)
+        logged = sum(map(len, oracle.sequences.values()))
+        deadline = time.monotonic() + 5.0
+        while (len(store.read_records(run.run_id)) < logged
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert len(store.read_records(run.run_id)) == logged
+        run.close()
+        assert len(store.read_records(run.run_id)) == logged
 
 
 class TestRecordEncodes:
@@ -768,7 +828,9 @@ class TestSpoolFailover:
 
     def test_records_divert_to_spool(self, store, spool, monkeypatch):
         fail = set()
-        run = open_run(store, "Toy", spool=spool, chunk=10, interval=0.05)
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 10)
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 0.05)
+        run = open_run(store, "Toy", spool=spool)
         fail.add(run.run_id)
         self.failing_primary(store, monkeypatch, fail)
         proxy = run.proxy("A")
@@ -783,7 +845,9 @@ class TestSpoolFailover:
     def test_no_record_lost_across_mid_run_failure(self, store, spool,
                                                   monkeypatch):
         fail = set()
-        run = open_run(store, "Toy", spool=spool, chunk=20, interval=0.05)
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 20)
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 0.05)
+        run = open_run(store, "Toy", spool=spool)
         proxy = run.proxy("A")
         self.failing_primary(store, monkeypatch, fail)
         for i in range(200):
@@ -811,7 +875,9 @@ class TestSpoolFailover:
             real_fsync(fd)
 
         monkeypatch.setattr(gatedflow.store.os, "fsync", fsync_fails_once)
-        run = open_run(store, "Toy", spool=spool, chunk=10, interval=60.0)
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 10)
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 60.0)
+        run = open_run(store, "Toy", spool=spool)
         proxy = run.proxy("A")
         for i in range(30):
             proxy.record("loss", float(i))
@@ -831,8 +897,10 @@ class TestSpoolFailover:
         assert sorted(r.step for r in merged) == list(range(30))
 
     def test_meta_diverts_to_spool_when_the_primary_refuses_it(self, store,
-                                                              spool):
-        run = open_run(store, "Toy", spool=spool, interval=60.0)
+                                                              spool,
+                                                              monkeypatch):
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 60.0)
+        run = open_run(store, "Toy", spool=spool)
         # a directory where meta.json goes: replacing it fails
         os.makedirs(os.path.join(store.run_dir(run.run_id), "meta.json"))
         run.close()
@@ -841,7 +909,9 @@ class TestSpoolFailover:
 
     def test_without_spool_failure_propagates(self, store, monkeypatch):
         fail = set()
-        run = open_run(store, "Toy", chunk=5, interval=60.0)
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 5)
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 60.0)
+        run = open_run(store, "Toy")
         fail.add(run.run_id)
         self.failing_primary(store, monkeypatch, fail)
         proxy = run.proxy("A")
@@ -928,7 +998,9 @@ class TestParkedWriter:
         monkeypatch.setattr(gatedflow.store, "QUEUE_CAPACITY", 8)
         error = RuntimeError("disk wedged")
         entered, release = self.park(monkeypatch, fail=error)
-        run = open_run(store, "Toy", chunk=8, interval=60.0)
+        monkeypatch.setattr(gatedflow.store, "CHUNK", 8)
+        monkeypatch.setattr(gatedflow.store, "INTERVAL", 60.0)
+        run = open_run(store, "Toy")
         proxy = run.proxy("A")
         done, raised = [], []
 
