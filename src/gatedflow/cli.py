@@ -51,12 +51,14 @@ EXIT_RUNTIME = 4
 EXIT_STORE = 5
 
 
-def _parse_experiment_args(registry, experiment, rest) -> dict:
+def _parse_experiment_args(registry, experiment, rest, command="run") -> dict:
     """Read ``--name value`` or ``--name=value`` per collected parameter, its
     name in full and the next token whole as its value (so ``-1e6`` is one),
-    into exp_args; a value its descriptor's kind or bounds refuse exits 2."""
+    into exp_args; a value its descriptor's kind or bounds refuse exits 2,
+    its usage line naming the subcommand ``command``."""
     params = dict(collect_hyperparameters(registry, experiment))
-    parser = argparse.ArgumentParser(prog=f"run {experiment}", add_help=False)
+    parser = argparse.ArgumentParser(prog=f"gatedflow {command} {experiment}",
+                                     add_help=False)
     exp_args = {}
     tokens = iter(rest)
     for token in tokens:
@@ -134,7 +136,8 @@ def _load_experiment(args, rest):
                else defs.ExperimentDefinition(args.experiment))
     default_steps = None
     if exp_def.experiment is not None:
-        exp_def.args.update(_parse_experiment_args(registry, exp_def.experiment, rest))
+        exp_def.args.update(_parse_experiment_args(registry, exp_def.experiment,
+                                                   rest, args.command))
         default_steps = registry.experiment(exp_def.experiment).default_max_steps
     elif rest:
         raise defs.DefinitionError(f"unrecognised arguments: {' '.join(rest)}")

@@ -74,10 +74,6 @@ class UseBeforeAssign(FlowError):
     """A name that is not an io_map key is read before any assignment."""
 
 
-# the runtime reports the same condition under this name
-UnknownInternalName = UseBeforeAssign
-
-
 class DoubleWrite(FlowError):
     pass
 

@@ -1,14 +1,14 @@
 """Hyperparameter studies: search spaces, samplers, and trial execution.
 
 Two samplers are built in. ``uniform-random`` draws every dimension
-independently (uniform in log10 space for log-scaled reals) and
-pre-assigns all draws per trial index, so parallel runs sample exactly the
-same multiset as serial ones. ``local-gaussian`` explores uniformly with
-probability 0.2 and otherwise perturbs the incumbent best assignment with
-Gaussian noise of scale 0.1 x (high - low) per dimension; it depends on
-completion order, so determinism is only guaranteed at parallelism 1.
-A study's seed fixes its draws through one ``random.Random``; its
-``gauss`` is not thread-safe, so parallel trials draw under one lock.
+independently (uniform in log10 space for log-scaled reals).
+``local-gaussian`` explores uniformly with probability 0.2 and otherwise
+perturbs the incumbent best assignment with Gaussian noise of scale
+0.1 x (high - low) per dimension. Both take one path: trial i draws from
+its own ``random.Random`` seeded with the text of its run seed, study
+seed + i, and samples from the history of trials 0..i-P, P being the
+parallelism. So a study is a function of its seed and parallelism, and a
+uniform-random study split by trial offset draws the whole study's trials.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class Study:
         self.max_steps = max_steps
         self.step_timeout = step_timeout
         self.trials: list[Trial] = []
-        self._rng = random.Random(seed)
 
     def header(self) -> dict:
         return {
@@ -121,9 +120,11 @@ def _sample_uniform(space: SearchSpace, rng) -> dict:
     return {d.name: _sample_dimension_uniform(d, rng) for d in space.dimensions}
 
 
-def sample(study: Study, history) -> dict:
-    """Draw one assignment from the study's sampler given past trials."""
-    rng = study._rng
+def sample(study: Study, history, trial_id: int) -> dict:
+    """Draw trial ``trial_id``'s assignment given past trials, from an RNG
+    seeded with the text of the trial's run seed (CPython seeds an int by
+    its absolute value, so run seeds -2 and 2 would draw alike)."""
+    rng = random.Random(str(study.seed + trial_id))
     space = study.space
     if study.sampler == "uniform-random":
         return _sample_uniform(space, rng)
@@ -166,17 +167,22 @@ def run_study(study: Study, registry, store: DirectoryStore, n_trials: int,
               parallelism: int = 1, spool=None) -> Study:
     """Execute trials, persisting each to the store as it completes.
 
-    A failed trial (body error, deadlock timeout) is recorded and skipped;
-    the study only aborts if every one of the first min(10, n_trials)
-    trials fails. A negative ``n_trials``, or a study that neither it nor
-    its experiment gives a step bound, raises ValueError before anything is
-    written.
+    Trial i waits until trials 0..i-P, P being the parallelism, are in the
+    ledger, and samples from exactly those; at P=1 that is every earlier
+    trial. So the trials are a function of the study's seed and P, whatever
+    the threads' timing. A failed trial (body error, deadlock timeout) is
+    recorded and skipped; the study only aborts if every one of the first
+    min(10, n_trials) trials fails. A negative ``n_trials``, or a study that
+    neither it nor its experiment gives a step bound, raises ValueError
+    before anything is written.
     """
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
     reducer = REDUCERS[study.reduce]
-    ledger_lock = threading.Lock()
-    sampler_lock = threading.Lock()
+    lag = max(parallelism, 1)
+    ledger = threading.Condition()  # guards study.trials, the ledger, finished
+    finished = set()
+    leading = 0  # trials 0..leading-1 are all finished
     max_steps = study.max_steps
     if max_steps is None:
         max_steps = registry.experiment(study.experiment).default_max_steps
@@ -185,20 +191,24 @@ def run_study(study: Study, registry, store: DirectoryStore, n_trials: int,
                          f"{study.experiment} sets no default_max_steps")
     store.write_study(study.study_id, study.header())
 
-    preassigned = None
-    if study.sampler == "uniform-random":
-        preassigned = [_sample_uniform(study.space, study._rng)
-                       for _ in range(n_trials)]
-
     def execute(trial_id: int):
-        if preassigned is not None:
-            assignment = preassigned[trial_id]
-        else:
-            with sampler_lock:
-                assignment = sample(study, study.trials)
-        trial = Trial(trial_id, assignment, state="running",
-                      seed=study.seed + trial_id)
-        with ledger_lock:
+        nonlocal leading
+        try:
+            run_trial(trial_id)
+        finally:  # a trial that raised still frees the trials waiting on it
+            with ledger:
+                finished.add(trial_id)
+                while leading in finished:
+                    leading += 1
+                ledger.notify_all()
+
+    def run_trial(trial_id: int):
+        with ledger:
+            ledger.wait_for(lambda: leading > trial_id - lag)
+            history = [t for t in study.trials if t.trial_id <= trial_id - lag]
+            assignment = sample(study, history, trial_id)
+            trial = Trial(trial_id, assignment, state="running",
+                          seed=study.seed + trial_id)
             study.trials.append(trial)
         args = {**study.space.fixed, **assignment}
         run = open_run(store, study.experiment, seed=trial.seed, args=args,
@@ -227,9 +237,8 @@ def run_study(study: Study, registry, store: DirectoryStore, n_trials: int,
             run.mark_failed()
             trial.objective = None
             trial.state = "failed"
-        with ledger_lock:
+        with ledger:
             store.append_trial(study.study_id, trial.to_json())
-        return trial
 
     if parallelism <= 1:
         for i in range(n_trials):

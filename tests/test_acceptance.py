@@ -184,8 +184,8 @@ def test_sampler_bounds():
             HyperparameterDescriptor("mode", "categorical", choices=["a", "b", "c"]),
         ])
         study = Study("X", space, seed=17)
-        for _ in range(1000):
-            assignment = sample(study, [])
+        for trial_id in range(1000):
+            assignment = sample(study, [], trial_id)
             for dim in space.dimensions:
                 assert dim.contains(assignment[dim.name]), dim.name
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -847,6 +848,29 @@ class TestEmitBatchScript:
                 "--store-root", store, "--spool-root", spool]
         assert done.stdout == "".join(f"[{arg}]\n" for arg in argv)
 
+    def test_partitions_draw_the_whole_studys_trials(self, root, tmp_path,
+                                                     capsys):
+        path = study_definition(tmp_path, seed=5, n_trials=6)
+        out = tmp_path / "submit.sh"
+        assert run_cli("emit-batch-script", path, "--partitions", "2",
+                       "--out", str(out), "--store-root", root) == EXIT_OK
+        parts = re.findall(r"\) COUNT=(\d+) SEED=(-?\d+) ;;", out.read_text())
+        assert parts == [("3", "5"), ("3", "8")]
+        for count, seed in parts:
+            assert run_cli("study", path, "--n-trials", count, "--seed", seed,
+                           "--store-root", root) == EXIT_OK
+        whole = str(tmp_path / "whole")
+        assert run_cli("study", path, "--store-root", whole) == EXIT_OK
+
+        def drawn(store_root):
+            store = DirectoryStore(store_root)
+            return sorted((t["seed"], json.dumps(t["assignment"], sort_keys=True))
+                          for study_id in store.list_studies()
+                          for t in store.read_trials(study_id))
+
+        assert [seed for seed, _ in drawn(whole)] == list(range(5, 11))
+        assert drawn(root) == drawn(whole)
+
     def test_n_trials_flag_overrides_definition(self, root, tmp_path):
         path = study_definition(tmp_path, n_trials=6)
         out = tmp_path / "submit.sh"
@@ -985,6 +1009,16 @@ def test_subcommand_options_are_matched_in_full(root, capsys, command):
     assert DirectoryStore(root).list_runs() == []
     assert run_cli(command, "ToyStudy", "--max-steps", "2", *store) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["steps"]["Source"] == 2
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-run"])
+def test_an_argument_error_names_the_subcommand_run(root, capsys, command):
+    store = ["--store-root", root] if command == "run" else []
+    assert run_cli(command, "ToyStudy", "--max", "2", *store) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: gatedflow {command} ToyStudy\n")
+    assert (f"gatedflow {command} ToyStudy: error: unrecognised arguments: --max"
+            in err)
 
 
 def test_arguments_to_an_inline_run_are_a_usage_error(root, tmp_path, capsys):

@@ -204,8 +204,9 @@ def test_other_pythons_run_and_study(tmp_path):
 # Signatures that changed on purpose: the step timeout is fixed when a
 # collection is built, each channel wait uses the timeout copied at seal,
 # a run logger always makes its own run id and flushes by the store
-# module's constants, a chart's labels, size and colours are fixed, and a
-# step body runs from its IO sets with a plain lookup, emit and callees.
+# module's constants, a chart's labels, size and colours are fixed, a
+# step body runs from its IO sets with a plain lookup, emit and callees,
+# and a trial's assignment is drawn from its own id and its history alone.
 @pytest.mark.parametrize("fn, params", [
     (gatedflow.ComponentCollection.run, "(self, max_steps=None)"),
     (gatedflow.ComponentCollection.signal_stop, "(self)"),
@@ -224,8 +225,13 @@ def test_other_pythons_run_and_study(tmp_path):
     (gatedflow.evaluate,
      "(ast: 'StepAST', io_sets: 'IOSets', lookup, emit, "
      "callees=mappingproxy({}))"),
+    (gatedflow.sample, "(study: 'Study', history, trial_id: 'int')"),
+    (gatedflow.run_study,
+     "(study: 'Study', registry, store: 'DirectoryStore', n_trials: 'int', "
+     "parallelism: 'int' = 1, spool=None)"),
 ], ids=["run", "signal_stop", "collection", "registry", "publish", "observe",
-        "RunLogger", "open_run", "render_svg", "evaluate"])
+        "RunLogger", "open_run", "render_svg", "evaluate", "sample",
+        "run_study"])
 def test_pinned_signatures(fn, params):
     signature = inspect.signature(fn).replace(
         return_annotation=inspect.Signature.empty)

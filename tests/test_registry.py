@@ -355,7 +355,7 @@ class TestTypeUsedTwice:
         study = study_from_descriptors(registry, self.shared_scalers(registry),
                                        seed=1)
         assert study.header()["dimensions"] == ["ComponentF.SubcomponentA.scaler"]
-        assert list(sample(study, [])) == ["ComponentF.SubcomponentA.scaler"]
+        assert list(sample(study, [], 0)) == ["ComponentF.SubcomponentA.scaler"]
 
     def same_named_tiers(self, with_component):
         reg = TypeRegistry()

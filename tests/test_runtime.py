@@ -31,7 +31,7 @@ from gatedflow.errors import (
     OracleStuck,
     RegistrySealed,
     ScriptSyntaxError,
-    UnknownInternalName,
+    UseBeforeAssign,
     ValueTypeError,
 )
 from gatedflow.store import open_run, query
@@ -134,11 +134,11 @@ class TestMakeComponent:
                            io_map_override={"gamma": "beta"})
 
     def test_body_referencing_unknown_name(self):
-        with pytest.raises(UnknownInternalName):
+        with pytest.raises(UseBeforeAssign):
             make_component("A", {"z": "z"}, step_body="z = w + 1")
 
     def test_native_body_naming_what_its_io_map_lacks(self):
-        with pytest.raises(UnknownInternalName,
+        with pytest.raises(UseBeforeAssign,
                            match="absent from io_map: q, r$"):
             make_component("P", {"a": "a"}, step_body=NativeBody(
                 lambda inputs, ctx: {}, reads={"q"}, writes={"a", "r"}))

@@ -1,6 +1,9 @@
 """Search spaces, samplers, and end-to-end study execution."""
 
 import math
+import sys
+import threading
+import time
 
 import pytest
 
@@ -24,6 +27,12 @@ from gatedflow.study import (
     sample,
     study_from_descriptors,
 )
+
+
+def in_order(study):
+    """A study's trials as comparable tuples, in trial-id order."""
+    return [(t.trial_id, t.seed, t.assignment, t.state, t.objective)
+            for t in sorted(study.trials, key=lambda t: t.trial_id)]
 
 
 def two_scaler_space():
@@ -73,8 +82,8 @@ class TestSamplers:
 
     def test_uniform_respects_bounds_everywhere(self):
         study = Study("X", self.wide_space(), seed=5)
-        for _ in range(1000):
-            assignment = sample(study, [])
+        for trial_id in range(1000):
+            assignment = sample(study, [], trial_id)
             for dim in study.space.dimensions:
                 assert dim.contains(assignment[dim.name])
             assert isinstance(assignment["width"], int)
@@ -82,7 +91,7 @@ class TestSamplers:
 
     def test_log_scale_is_uniform_in_log_space(self):
         study = Study("X", self.wide_space(), seed=11)
-        draws = [sample(study, [])["lr"] for _ in range(1000)]
+        draws = [sample(study, [], i)["lr"] for i in range(1000)]
         # uniform in log10 over (1e-4, 1e-1) puts the median near 10**-2.5
         median = sorted(draws)[500]
         assert 1e-3 < median < 1e-2
@@ -110,8 +119,8 @@ class TestSamplers:
     def test_same_seed_same_draws(self):
         first = Study("X", self.wide_space(), seed=42)
         second = Study("X", self.wide_space(), seed=42)
-        for _ in range(50):
-            assert sample(first, []) == sample(second, [])
+        for trial_id in range(50):
+            assert sample(first, [], trial_id) == sample(second, [], trial_id)
 
     def test_local_gaussian_stays_in_bounds_and_near_incumbent(self):
         space = two_scaler_space()
@@ -119,8 +128,8 @@ class TestSamplers:
         incumbent = Trial(0, {"F.A.scaler": 0.55, "F.B.scaler": 0.35},
                           state="complete", objective=0.01)
         near = 0
-        for _ in range(1000):
-            assignment = sample(study, [incumbent])
+        for trial_id in range(1000):
+            assignment = sample(study, [incumbent], trial_id)
             for dim in space.dimensions:
                 assert dim.contains(assignment[dim.name])
             if abs(assignment["F.A.scaler"] - 0.55) < 3 * 0.1 * 0.9:
@@ -136,7 +145,7 @@ class TestSamplers:
         study = Study("X", space, sampler="local-gaussian", seed=3)
         incumbent = Trial(0, {"width": 5, "mode": "b"}, state="complete",
                           objective=0.01)
-        draws = [sample(study, [incumbent]) for _ in range(1000)]
+        draws = [sample(study, [incumbent], i) for i in range(1000)]
         for assignment in draws:
             for dim in space.dimensions:
                 assert dim.contains(assignment[dim.name])
@@ -152,7 +161,7 @@ class TestSamplers:
     def test_local_gaussian_explores_without_history(self):
         space = two_scaler_space()
         study = Study("X", space, sampler="local-gaussian", seed=3)
-        draws = [sample(study, [])["F.A.scaler"] for _ in range(200)]
+        draws = [sample(study, [], i)["F.A.scaler"] for i in range(200)]
         assert max(draws) - min(draws) > 0.5  # spread across the full range
 
     def test_invalid_configuration(self):
@@ -248,13 +257,82 @@ class TestRunStudy:
         run_study(parallel, registry, DirectoryStore(tmp_path / "par"),
                   n_trials=12, parallelism=4)
 
-        def multiset(study):
-            return sorted(
-                tuple(sorted(t.assignment.items())) for t in study.trials
-            )
-
-        assert multiset(serial) == multiset(parallel)
+        assert in_order(serial) == in_order(parallel)
         assert best_trial(serial).objective == best_trial(parallel).objective
+
+    def test_parallel_local_gaussian_ignores_thread_timing(
+            self, registry, tmp_path, monkeypatch):
+        """At parallelism 4, trial i samples from trials 0..i-4 alone, so
+        slowing the first trials changes no trial, and repeats agree."""
+        import gatedflow.study as study_mod
+        from gatedflow.store import DirectoryStore
+        real_build = study_mod.build_experiment
+        lock = threading.Lock()
+        calls = {"n": 0, "slow": 0}
+
+        def slow_first(registry_, name, args=None, **kwargs):
+            with lock:
+                calls["n"] += 1
+                slow = calls["n"] <= calls["slow"]
+            if slow:
+                time.sleep(0.03)
+            return real_build(registry_, name, args, **kwargs)
+
+        monkeypatch.setattr(study_mod, "build_experiment", slow_first)
+
+        def trials(slow, repeat):
+            calls.update(n=0, slow=slow)
+            study = self.make_study(registry, sampler="local-gaussian",
+                                    max_steps=3)
+            run_study(study, registry,
+                      DirectoryStore(tmp_path / f"{slow}-{repeat}"),
+                      n_trials=16, parallelism=4)
+            return in_order(study)
+
+        timely = trials(0, 0)
+        assert [t[0] for t in timely] == list(range(16))
+        for repeat in (1, 2):
+            assert trials(0, repeat) == timely
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches per trial
+        try:
+            assert trials(4, 0) == timely
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_a_negative_seed_gives_each_trial_its_own_draws(self, registry,
+                                                            store):
+        # an int seed of -2 + i would draw alike for i = 0 and 4
+        study = self.make_study(registry, seed=-2)
+        run_study(study, registry, store, n_trials=5)
+        drawn = [t.assignment for t in sorted(study.trials,
+                                              key=lambda t: t.trial_id)]
+        assert drawn == [sample(study, [], i) for i in range(5)]
+        assert len({tuple(sorted(a.items())) for a in drawn}) == 5
+
+    def test_a_ledger_append_that_raises_ends_a_parallel_study(
+            self, registry, store, monkeypatch):
+        """A trial that raises still frees the trials waiting on it."""
+        from gatedflow.store import DirectoryStore
+
+        def primary_down(self_, study_id, trial):
+            raise OSError("disk unavailable")
+
+        monkeypatch.setattr(DirectoryStore, "append_trial", primary_down)
+        study = self.make_study(registry)
+        raised = []
+
+        def target():
+            try:
+                run_study(study, registry, store, n_trials=6, parallelism=2)
+            except OSError as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=target, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "run_study hung"
+        assert [str(exc) for exc in raised] == ["disk unavailable"]
 
     def test_failed_trial_is_isolated(self, registry, store, monkeypatch):
         import gatedflow.study as study_mod
